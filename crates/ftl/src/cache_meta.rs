@@ -39,6 +39,9 @@ pub struct BlockMeta {
     /// Valid subpages sitting in never-updated pages (the ISR J-term's
     /// population, and the numerator of its upper bound).
     j_count: u32,
+    /// Sum of `sub_written_ns` over the J population (feeds the mean J age
+    /// in the ISR upper bound).
+    sum_written_cold: u128,
     /// Bit per subpage slot (page-major): set iff the subpage is valid AND
     /// its page was never updated — exactly the J-term population, so the ISR
     /// scorer walks set bits instead of scanning every slot. `j_count` is its
@@ -66,6 +69,7 @@ impl BlockMeta {
             valid_count: 0,
             sum_written_valid: 0,
             j_count: 0,
+            sum_written_cold: 0,
             cold_mask: vec![0; slots.div_ceil(64)],
         }
     }
@@ -85,7 +89,13 @@ impl BlockMeta {
     fn mark_page_updated(&mut self, page: u32) {
         if !self.page_updated[page as usize] {
             self.page_updated[page as usize] = true;
-            self.j_count -= self.page_valid_count(page);
+            for s in 0..self.subpages_per_page {
+                let slot = self.slot(page, s as u8);
+                if self.mask_bit(slot) {
+                    self.j_count -= 1;
+                    self.sum_written_cold -= self.sub_written_ns[slot] as u128;
+                }
+            }
             // A page's slots never straddle a mask word (64 is a multiple of
             // every supported subpages-per-page), so one word edit suffices.
             let start = (page * self.subpages_per_page) as usize;
@@ -119,6 +129,7 @@ impl BlockMeta {
             self.sum_written_valid += t as u128;
             if in_j {
                 self.j_count += 1;
+                self.sum_written_cold += t as u128;
                 self.cold_mask[slot / 64] |= 1u64 << (slot % 64);
             }
         }
@@ -135,6 +146,7 @@ impl BlockMeta {
             self.sum_written_valid -= self.sub_written_ns[slot] as u128;
             if !self.page_updated[page as usize] {
                 self.j_count -= 1;
+                self.sum_written_cold -= self.sub_written_ns[slot] as u128;
                 self.cold_mask[slot / 64] &= !(1u64 << (slot % 64));
             }
         }
@@ -165,6 +177,7 @@ impl BlockMeta {
             self.sum_written_valid += written_ns as u128;
             if !self.page_updated[page as usize] {
                 self.j_count += 1;
+                self.sum_written_cold += written_ns as u128;
                 self.cold_mask[slot / 64] |= 1u64 << (slot % 64);
             }
         }
@@ -205,6 +218,12 @@ impl BlockMeta {
         self.j_count
     }
 
+    /// Sum of write timestamps over the J population (cached).
+    #[inline]
+    pub fn sum_written_cold(&self) -> u128 {
+        self.sum_written_cold
+    }
+
     /// The J-term population as a page-major bitset (one bit per subpage
     /// slot); the ISR scorer iterates its set bits in ascending slot order,
     /// which is exactly the oracle's (page, subpage) visit order.
@@ -220,23 +239,13 @@ impl BlockMeta {
         &self.sub_written_ns
     }
 
-    /// Valid subpages within one page (popcount over the page's mask bits).
-    pub fn page_valid_count(&self, page: u32) -> u32 {
-        let mut n = 0;
-        for s in 0..self.subpages_per_page {
-            if self.mask_bit(self.slot(page, s as u8)) {
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Recomputes the cached aggregates from the mask and flags and compares;
     /// used by the FTL invariant checker (tests / debug sweeps only).
     pub fn aggregates_consistent(&self) -> bool {
         let mut valid = 0u32;
         let mut sum = 0u128;
         let mut j = 0u32;
+        let mut cold_sum = 0u128;
         for page in 0..self.page_count() {
             for s in 0..self.subpages_per_page {
                 let slot = self.slot(page, s as u8);
@@ -246,6 +255,7 @@ impl BlockMeta {
                     sum += self.sub_written_ns[slot] as u128;
                     if !self.page_updated[page as usize] {
                         j += 1;
+                        cold_sum += self.sub_written_ns[slot] as u128;
                         if !cold_bit {
                             return false;
                         }
@@ -257,7 +267,10 @@ impl BlockMeta {
                 }
             }
         }
-        valid == self.valid_count && sum == self.sum_written_valid && j == self.j_count
+        valid == self.valid_count
+            && sum == self.sum_written_valid
+            && j == self.j_count
+            && cold_sum == self.sum_written_cold
     }
 }
 
@@ -451,7 +464,8 @@ mod tests {
         assert_eq!(m.valid_count(), 3); // (0,1), (0,2), (1,0)
         assert_eq!(m.sum_written_valid(), 1000 + 5000 + 3000);
         assert_eq!(m.j_count(), 1); // only (1,0): page 0 is updated
-        assert_eq!(m.page_valid_count(0), 2);
+        assert_eq!(m.sum_written_cold(), 3000);
+        assert!(!m.valid_at(0, 0) && m.valid_at(0, 1) && m.valid_at(0, 2));
 
         m.note_invalidate(0, 1);
         m.note_invalidate(0, 1); // double-invalidate is a no-op
@@ -471,8 +485,10 @@ mod tests {
         assert_eq!(m.valid_count(), 3);
         assert_eq!(m.sum_written_valid(), 100 + 900 + 400);
         assert_eq!(m.j_count(), 1);
+        assert_eq!(m.sum_written_cold(), 400);
         m.note_invalidate(1, 2);
         assert_eq!(m.j_count(), 0);
+        assert_eq!(m.sum_written_cold(), 0);
         assert!(m.aggregates_consistent());
     }
 

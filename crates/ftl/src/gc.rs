@@ -132,13 +132,10 @@ pub fn isr_score(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64 {
 /// subpages share a write timestamp (subpages programmed by one operation
 /// always do).
 pub fn cold_valid_weight_fast(meta: &BlockMeta, now: Nanos) -> f64 {
-    let valid_count = meta.valid_count();
-    if valid_count == 0 {
+    if meta.valid_count() == 0 {
         return 0.0;
     }
-    let ages_sum =
-        (valid_count as u128 * now as u128).saturating_sub(meta.sum_written_valid()) as f64;
-    let t_mean = (ages_sum / valid_count as f64).max(1.0);
+    let t_mean = mean_valid_age(meta, now);
 
     let mut weight = 0.0;
     let mut last_t = Nanos::MAX;
@@ -164,6 +161,20 @@ pub fn cold_valid_weight_fast(meta: &BlockMeta, now: Nanos) -> f64 {
     weight
 }
 
+/// Eq. 2's `T_i` from the cached sums: the mean age of the valid subpages,
+/// floored at 1 ns. Callers guarantee at least one valid subpage.
+fn mean_valid_age(meta: &BlockMeta, now: Nanos) -> f64 {
+    let n = meta.valid_count();
+    let ages_sum = (n as u128 * now as u128).saturating_sub(meta.sum_written_valid()) as f64;
+    (ages_sum / n as f64).max(1.0)
+}
+
+/// Slack per J subpage added to [`isr_upper_bound`] so f64 rounding never
+/// puts it below the exact scorer's term-by-term sum. Each term's `exp`
+/// rounds by ~1e-16 and recursive summation of `n` terms by at most
+/// `n·1.1e-16` per term, which stays under the pad up to ~9000 subpages.
+const BOUND_PAD: f64 = 1e-12;
+
 /// Incremental variant of [`isr_score`]; same mask-mirrors-device precondition
 /// as [`cold_valid_weight_fast`].
 pub fn isr_score_fast(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64 {
@@ -175,16 +186,28 @@ pub fn isr_score_fast(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64 {
     (invalid + cold_valid_weight_fast(meta, now)) / total as f64
 }
 
-/// Cheap upper bound on [`isr_score`]: every J-term is ≤ 1, so the score can
-/// never exceed `(invalid + j_count) / total`. Used to prune candidates whose
-/// bound already loses to the best exact score seen.
-pub fn isr_upper_bound(block: &BlockState, meta: &BlockMeta) -> f64 {
+/// O(1) upper bound on [`isr_score_fast`], used to prune candidates whose
+/// bound already loses to the best exact score seen. Eq. 2's summand
+/// `1 − e^(−t/T)` is concave in the age `t`, so by Jensen's inequality
+/// `IS' ≤ |J|·(1 − e^(−t̄/T))`, where `t̄` is the mean age of the J subpages
+/// (from the cached `sum_written_cold`). The bound costs one `exp`, is padded
+/// by 1e-12 per J subpage against rounding, and is tight when every J
+/// subpage shares one write time. It also bounds [`isr_score`] whenever no
+/// write time lies after `now`, which holds in the FTL: writes are stamped
+/// with the request clock.
+pub fn isr_upper_bound(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64 {
     let total = block.total_subpages();
     if total == 0 {
         return 0.0;
     }
     let invalid = block.count_subpages(SubpageState::Invalid) as f64;
-    (invalid + meta.j_count() as f64) / total as f64
+    let j = meta.j_count();
+    if j == 0 {
+        return invalid / total as f64;
+    }
+    let j_ages = (j as u128 * now as u128).saturating_sub(meta.sum_written_cold()) as f64;
+    let cold = 1.0 - (-(j_ages / j as f64) / mean_valid_age(meta, now)).exp();
+    (invalid + j as f64 * (cold + BOUND_PAD)) / total as f64
 }
 
 /// Selects the candidate with the highest ISR score; ties break toward the

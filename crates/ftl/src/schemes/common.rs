@@ -125,6 +125,9 @@ pub struct FtlCore {
     /// SSDsim's dynamic allocation does. Baseline/MGA only use the Work and
     /// HighDensity rings, IPU uses all four.
     actives: [Vec<ActiveBlock>; 4],
+    /// Bit per dense block index, set while the block is in an active ring
+    /// (O(1) [`Self::is_active`]).
+    active_bits: Vec<u64>,
     /// Round-robin cursors per level.
     rr: [usize; 4],
     /// Earliest simulated time the next SLC GC round may start (the previous
@@ -157,7 +160,7 @@ pub struct FtlCore {
     /// the core's MLC GC / wear-leveling paths via take/put-back.
     pub(crate) gc_groups: Vec<PageGroup>,
     /// Reusable (upper bound, opened_seq, idx) candidate list for ISR victim
-    /// selection; kept sorted scratch so steady-state GC allocates nothing.
+    /// selection, so steady-state GC allocates nothing.
     isr_scratch: Vec<(f64, u64, u64)>,
     /// Bucketed priority index over in-use SLC blocks, maintained on block
     /// open/close and subpage invalidation so GC victim selection never
@@ -172,6 +175,7 @@ impl FtlCore {
         cfg.validate().expect("invalid FTL configuration");
         let geometry = dev.config().geometry.clone();
         let blocks = BlockManager::new(&geometry, &cfg);
+        let active_words = geometry.total_blocks().div_ceil(64) as usize;
         for addr in blocks.slc_region_blocks() {
             dev.set_block_mode(addr, CellMode::Slc);
         }
@@ -184,6 +188,7 @@ impl FtlCore {
             stats: FtlStats::default(),
             geometry,
             actives: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
+            active_bits: vec![0; active_words],
             rr: [0; 4],
             slc_gc_ready_at: 0,
             mlc_gc_ready_at: 0,
@@ -273,9 +278,24 @@ impl FtlCore {
             .collect()
     }
 
-    /// Whether `addr` is currently an active block of any level.
-    pub fn is_active(&self, addr: BlockAddr) -> bool {
-        self.actives.iter().flatten().any(|a| a.addr == addr)
+    /// Whether the block at dense index `block_idx` is currently an active
+    /// block of any level.
+    #[inline]
+    pub fn is_active(&self, block_idx: u64) -> bool {
+        self.active_bits
+            .get(block_idx as usize / 64)
+            .is_some_and(|w| w & (1u64 << (block_idx % 64)) != 0)
+    }
+
+    fn set_active_bit(&mut self, block_idx: u64, on: bool) {
+        if let Some(w) = self.active_bits.get_mut(block_idx as usize / 64) {
+            let bit = 1u64 << (block_idx % 64);
+            if on {
+                *w |= bit;
+            } else {
+                *w &= !bit;
+            }
+        }
     }
 
     fn open_active(&mut self, addr: BlockAddr, level: BlockLevel) {
@@ -292,6 +312,7 @@ impl FtlCore {
             let seq = self.meta.get(idx).map_or(0, |m| m.opened_seq());
             self.victim_index.insert(idx, seq, 0);
         }
+        self.set_active_bit(idx, true);
         self.actives[level as usize].push(ActiveBlock {
             addr,
             next_page: 0,
@@ -316,54 +337,48 @@ impl FtlCore {
     /// scan ([`Self::oracle_slc_victim_greedy`]) would — property tests pin
     /// the equivalence.
     pub fn select_slc_victim_greedy(&self) -> Option<u64> {
-        self.victim_index
-            .select_greedy(|i| self.meta.get(i).is_none_or(|m| self.is_active(m.addr)))
+        self.victim_index.select_greedy(|i| self.is_active(i))
     }
 
-    /// ISR SLC GC victim (paper Equations 1–2) over the index's membership
-    /// set, scored with the incremental evaluator and pruned by
-    /// [`isr_upper_bound`]: candidates are visited in descending bound order,
-    /// so as soon as one bound cannot beat the best exact score seen, every
-    /// remaining candidate is pruned too and the scan stops without
-    /// evaluating any exponential. Selects exactly the block the full linear
-    /// scan ([`Self::oracle_slc_victim_isr`]) would: the bound
-    /// over-approximates the score (every age term is ≤ 1), so no pruned
-    /// candidate could have won or tied, and the replacement rule computes
-    /// `select_isr`'s (max score, min seq) ordering, which is a maximum over
-    /// a total order and therefore independent of visit order.
+    /// ISR SLC GC victim (paper Equations 1–2). One pass over the in-use SLC
+    /// blocks computes each candidate's O(1) [`isr_upper_bound`]; the
+    /// candidate with the highest bound is scored exactly first, and after it
+    /// only candidates whose bound reaches the best exact score seen. Selects
+    /// exactly the block the full linear scan
+    /// ([`Self::oracle_slc_victim_isr`]) would: the bound over-approximates
+    /// the score, so no skipped candidate could have won or tied, and the
+    /// replacement rule computes `select_isr`'s (max score, min seq)
+    /// ordering, which is a maximum over a total order and therefore
+    /// independent of visit order.
     pub fn select_slc_victim_isr(&mut self, dev: &FlashDevice, now: Nanos) -> Option<u64> {
         let mut cands = std::mem::take(&mut self.isr_scratch);
         let cap_before = cands.capacity();
         cands.clear();
-        for (idx, _, seq) in self.victim_index.members() {
+        let mut top = 0;
+        for (idx, m) in self.meta.slc_blocks() {
+            if self.is_active(idx) {
+                continue;
+            }
+            let ub = isr_upper_bound(dev.block_by_index(idx), m, now);
+            if cands.get(top).is_none_or(|c| ub > c.0) {
+                top = cands.len();
+            }
+            cands.push((ub, m.opened_seq(), idx));
+        }
+        if !cands.is_empty() {
+            cands.swap(0, top);
+        }
+        let mut best: Option<(f64, u64, u64)> = None; // (score, opened_seq, idx)
+        for &(ub, seq, idx) in &cands {
+            if best.is_some_and(|(bs, _, _)| ub + 1e-9 < bs) {
+                continue;
+            }
             let Some(m) = self.meta.get(idx) else {
                 continue;
             };
-            if self.is_active(m.addr) {
-                continue;
-            }
-            let block = dev.block_by_index(idx);
-            cands.push((isr_upper_bound(block, m), seq, idx));
-        }
-        cands.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
-        let mut best: Option<(f64, u64, u64)> = None; // (score, opened_seq, idx)
-        for &(ub, seq, idx) in &cands {
-            if let Some((bs, bseq, _)) = best {
-                if ub + 1e-9 < bs {
-                    break; // sorted descending: all remaining bounds lose too
-                }
-                let Some(m) = self.meta.get(idx) else {
-                    continue;
-                };
-                let s = isr_score_fast(dev.block_by_index(idx), m, now);
-                if s > bs || (s == bs && seq < bseq) {
-                    best = Some((s, seq, idx));
-                }
-            } else {
-                let Some(m) = self.meta.get(idx) else {
-                    continue;
-                };
-                best = Some((isr_score_fast(dev.block_by_index(idx), m, now), seq, idx));
+            let s = isr_score_fast(dev.block_by_index(idx), m, now);
+            if best.is_none_or(|(bs, bseq, _)| s > bs || (s == bs && seq < bseq)) {
+                best = Some((s, seq, idx));
             }
         }
         if cands.capacity() != cap_before {
@@ -379,7 +394,7 @@ impl FtlCore {
         let cands = self
             .meta
             .slc_blocks()
-            .filter(|(_, m)| !self.is_active(m.addr))
+            .filter(|&(i, _)| !self.is_active(i))
             .map(|(i, m)| (i, dev.block_by_index(i), m.opened_seq()));
         select_greedy(cands, GcGranularity::Subpage)
     }
@@ -387,13 +402,11 @@ impl FtlCore {
     /// Reference ISR victim selection (full recomputation linear scan). Kept
     /// as the oracle for equivalence tests.
     pub fn oracle_slc_victim_isr(&self, dev: &FlashDevice, now: Nanos) -> Option<u64> {
-        let cands = self.meta.slc_blocks().filter_map(|(i, m)| {
-            if self.is_active(m.addr) {
-                None
-            } else {
-                Some((i, dev.block_by_index(i), m))
-            }
-        });
+        let cands = self
+            .meta
+            .slc_blocks()
+            .filter(|&(i, _)| !self.is_active(i))
+            .map(|(i, m)| (i, dev.block_by_index(i), m));
         select_isr(cands, now)
     }
 
@@ -445,6 +458,9 @@ impl FtlCore {
             }
             // Every ring member is full: retire them (they remain GC
             // candidates via the metadata registry) and retry.
+            for k in 0..self.actives[li].len() {
+                self.set_active_bit(self.block_idx(self.actives[li][k].addr), false);
+            }
             self.actives[li].clear();
             if self.free_blocks_for(level) == 0 {
                 return None;
@@ -455,19 +471,11 @@ impl FtlCore {
     /// Attempts the full fallback chain: the requested level, then each lower
     /// SLC level, then the MLC region.
     fn try_take_chain(&mut self, level: BlockLevel) -> Option<(Ppa, BlockLevel)> {
-        let mut try_levels: Vec<BlockLevel> = Vec::with_capacity(4);
-        let mut l = level;
-        loop {
-            try_levels.push(l);
-            if l == BlockLevel::HighDensity || l == BlockLevel::Work {
-                break;
-            }
-            l = l.demoted();
-        }
-        if try_levels.last().copied() != Some(BlockLevel::HighDensity) {
-            try_levels.push(BlockLevel::HighDensity);
-        }
-        for lv in try_levels {
+        // Hot → Monitor → Work → HighDensity; demotion ends at HighDensity.
+        let chain = std::iter::successors(Some(level), |&l| {
+            (l != BlockLevel::HighDensity).then(|| l.demoted())
+        });
+        for lv in chain {
             if let Some(ppa) = self.try_take_at_level(lv) {
                 return Some((ppa, lv));
             }
@@ -487,7 +495,7 @@ impl FtlCore {
         let victims: Vec<u64> = self
             .meta
             .iter()
-            .filter(|(_, m)| !self.is_active(m.addr))
+            .filter(|&(i, _)| !self.is_active(i))
             .filter(|(i, _)| {
                 let b = dev.block_by_index(*i);
                 b.count_subpages(SubpageState::Valid) == 0 && !b.is_pristine()
@@ -707,6 +715,7 @@ impl FtlCore {
         for ring in self.actives.iter_mut() {
             ring.retain(|a| a.addr != addr);
         }
+        self.set_active_bit(block_idx, false);
         for group in self.collect_victim_groups(dev, block_idx) {
             if self
                 .relocate_group(dev, addr, &group, level, now, batch)
@@ -1126,8 +1135,8 @@ impl FtlCore {
         let _span = ipu_obs::span(ipu_obs::Phase::Migration);
         // Least-worn in-use (non-active) SLC block.
         let mut coldest: Option<(u32, u64)> = None;
-        for (i, m) in self.meta.slc_blocks() {
-            if self.is_active(m.addr) {
+        for (i, _) in self.meta.slc_blocks() {
+            if self.is_active(i) {
                 continue;
             }
             let pe = dev.wear().pe_cycles(i);
@@ -1190,7 +1199,10 @@ impl FtlCore {
     /// 1. every mapped LSN points at a physically *valid* subpage,
     /// 2. the owner table agrees with the forward map in both directions,
     /// 3. every valid subpage on the device is owned by a mapped LSN,
-    /// 4. per-block subpage accounting conserves (free + valid + invalid).
+    /// 4. per-block subpage accounting conserves (free + valid + invalid),
+    /// 5. cached per-block counters agree with a recount,
+    /// 6. metadata and victim index mirror the device,
+    /// 7. the active bitmap is exactly the union of the active rings.
     pub fn check_invariants(&self, dev: &FlashDevice) -> Result<(), String> {
         // 1 & 2 (forward direction).
         for (lsn, spa) in self.map.iter() {
@@ -1299,6 +1311,19 @@ impl FtlCore {
                 indexed
             ));
         }
+        // 7.
+        for i in 0..self.geometry.total_blocks() {
+            let in_ring = self
+                .actives
+                .iter()
+                .flatten()
+                .any(|a| self.block_idx(a.addr) == i);
+            if self.is_active(i) != in_ring {
+                return Err(format!(
+                    "block {i}: active bit disagrees with ring ({in_ring})"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -1316,7 +1341,7 @@ impl FtlCore {
                 let cands = self
                     .meta
                     .mlc_blocks()
-                    .filter(|(_, m)| !self.is_active(m.addr))
+                    .filter(|&(i, _)| !self.is_active(i))
                     .map(|(i, m)| (i, dev.block_by_index(i), m.opened_seq()));
                 select_greedy(cands, GcGranularity::Subpage)
             };
@@ -1383,7 +1408,7 @@ impl FtlCore {
             };
             let addr = meta.addr;
             let level = meta.level;
-            if self.is_active(addr) {
+            if self.is_active(block_idx) {
                 continue;
             }
             // Pages where any valid subpage is past the watermark.
@@ -1434,6 +1459,7 @@ impl FtlCore {
         self.owners = OwnerTable::new(&self.geometry);
         self.meta = CacheMeta::new();
         self.actives = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+        self.active_bits.fill(0);
         self.rr = [0; 4];
         self.slc_gc_ready_at = 0;
         self.mlc_gc_ready_at = 0;

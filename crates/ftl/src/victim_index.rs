@@ -17,9 +17,9 @@
 //! the same winner an ordered walk would return. Equivalence is pinned by
 //! property tests against the retained oracle.
 //!
-//! ISR selection shares the index's membership set (all in-use SLC blocks,
-//! ordered by block index) but scores candidates with the incremental ISR
-//! evaluator, pruning via [`crate::gc::isr_upper_bound`].
+//! ISR selection does not use the index: its score changes with time, so
+//! `FtlCore::select_slc_victim_isr` walks the in-use SLC blocks directly and
+//! prunes with the O(1) [`crate::gc::isr_upper_bound`].
 
 /// Per-member record: cached score, open order, and the member's position in
 /// its score bucket (for O(1) swap-removal).
@@ -135,14 +135,6 @@ impl VictimIndex {
             }
         }
         None
-    }
-
-    /// Iterates `(block_idx, cached_score, opened_seq)` in block-index order.
-    pub fn members(&self) -> impl Iterator<Item = (u64, u32, u64)> + '_ {
-        self.members
-            .iter()
-            .enumerate()
-            .filter_map(|(i, m)| m.map(|m| (i as u64, m.score, m.seq)))
     }
 
     /// Cached score of a member (test introspection).

@@ -6,7 +6,9 @@
 //! incremental ISR evaluator must select *bit-identical* victims to the
 //! original full-scan implementations under every reachable device state —
 //! the schemes' counter fingerprints depend on it. Both oracles are retained
-//! in the core solely so these tests can compare against them.
+//! in the core solely so these tests can compare against them. Workloads
+//! include power cycles, so the pickers are also compared after
+//! `rebuild_from_flash` has restored the metadata and reset the active set.
 
 use ipu_flash::{DeviceConfig, FlashDevice};
 use ipu_ftl::{FtlConfig, FtlScheme, SchemeKind};
@@ -14,35 +16,41 @@ use ipu_trace::{IoRequest, OpKind};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
-struct Op {
-    write: bool,
-    slot: u64,
-    size_subpages: u8,
+enum Op {
+    Io {
+        write: bool,
+        slot: u64,
+        size_subpages: u8,
+    },
+    PowerCycle,
 }
 
 fn workload() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        (any::<bool>(), 0u64..12, 1u8..=4).prop_map(|(write, slot, size_subpages)| Op {
-            write,
-            slot,
-            size_subpages,
-        }),
-        1..160,
-    )
+    let io = (any::<bool>(), 0u64..12, 1u8..=4).prop_map(|(write, slot, size_subpages)| Op::Io {
+        write,
+        slot,
+        size_subpages,
+    });
+    proptest::collection::vec(prop_oneof![24 => io, 1 => Just(Op::PowerCycle)], 1..160)
 }
 
 fn drive(ftl: &mut Box<dyn FtlScheme>, dev: &mut FlashDevice, t: usize, op: &Op) {
+    let &Op::Io {
+        write,
+        slot,
+        size_subpages,
+    } = op
+    else {
+        ftl.power_cycle(dev);
+        return;
+    };
     let req = IoRequest::new(
         t as u64 * 1000,
-        if op.write {
-            OpKind::Write
-        } else {
-            OpKind::Read
-        },
-        op.slot * 65536,
-        op.size_subpages as u32 * 4096,
+        if write { OpKind::Write } else { OpKind::Read },
+        slot * 65536,
+        size_subpages as u32 * 4096,
     );
-    if op.write {
+    if write {
         ftl.on_write(&req, req.timestamp_ns, dev);
     } else {
         ftl.on_read(&req, req.timestamp_ns, dev);
