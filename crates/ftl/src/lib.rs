@@ -2,14 +2,12 @@
 //!
 //! The logical half of the reproduction: address mapping, free-block
 //! management, the three-level SLC-mode cache, GC policies (greedy and the
-//! paper's ISR policy with Equations 1–2), and the three schemes under
-//! evaluation:
-//!
-//! * [`schemes::baseline::BaselineFtl`] — page-level mapping, no partial
-//!   programming;
-//! * [`schemes::mga::MgaFtl`] — subpage packing with partial programming
-//!   (the state-of-the-art comparison point);
-//! * [`schemes::ipu::IpuFtl`] — the paper's intra-page update scheme.
+//! paper's ISR policy with Equations 1–2), and the schemes under evaluation
+//! — Baseline (page-level mapping, no partial programming), MGA (subpage
+//! packing with partial programming, the state-of-the-art comparison point),
+//! the paper's intra-page update scheme IPU, and its §5 extension IPU+. One
+//! FTL, [`schemes::SchemeFtl`], implements all four as the corners of a 2×2
+//! policy grid (see [`schemes`]).
 //!
 //! Schemes execute against an [`ipu_flash::FlashDevice`] and emit
 //! [`ops::OpBatch`]es of timed operations that `ipu-sim` schedules onto chips.

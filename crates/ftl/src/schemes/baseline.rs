@@ -1,172 +1,18 @@
-//! The `Baseline` scheme: dynamic page-level mapping without partial
-//! programming.
-//!
-//! Every write chunk — even a single 4 KB subpage — consumes a whole fresh
-//! 16 KB SLC page in one program operation, so small writes leave the rest of
-//! the page permanently unusable until GC (the paper's "page fragmentation":
-//! ~52.8% utilization in Figure 9). GC is conventional greedy at page
-//! granularity, and all valid data found in a victim is evicted to the MLC
-//! region, as a plain SLC write cache does.
-
-use ipu_flash::{FlashDevice, Nanos, MAX_SUBPAGES_PER_PAGE};
-use ipu_trace::IoRequest;
-
-use crate::config::FtlConfig;
-use crate::error::FtlError;
-use crate::memory::MappingMemory;
-use crate::ops::{FlashOpKind, OpBatch, RoundOrigin};
-use crate::stats::FtlStats;
-use crate::types::{BlockLevel, Lsn};
-
-use super::common::FtlCore;
-use super::FtlScheme;
-
-/// Page-mapped SLC-cache FTL without partial programming.
-#[derive(Debug)]
-pub struct BaselineFtl {
-    core: FtlCore,
-}
-
-impl BaselineFtl {
-    pub fn new(dev: &mut FlashDevice, cfg: FtlConfig) -> Self {
-        BaselineFtl {
-            core: FtlCore::new(dev, cfg),
-        }
-    }
-
-    fn write_chunk(
-        &mut self,
-        lsns: &[Lsn],
-        now: Nanos,
-        dev: &mut FlashDevice,
-        batch: &mut OpBatch,
-    ) -> Result<(), FtlError> {
-        // A fresh page per chunk, always; no partial programming.
-        let (ppa, _) = self.core.take_host_page(dev, BlockLevel::Work, batch)?;
-        self.core
-            .program_group(dev, ppa, 0, lsns, FlashOpKind::HostProgram, now, batch)
-    }
-
-    fn run_gc(&mut self, now: Nanos, dev: &mut FlashDevice, batch: &mut OpBatch) {
-        let mut rounds = 0;
-        while self.core.slc_gc_needed()
-            && self.core.slc_gc_gate_open(now)
-            && rounds < self.core.cfg.gc_rounds_per_write
-        {
-            let _span = ipu_obs::span(ipu_obs::Phase::Gc);
-            batch.begin_background_round(RoundOrigin::Gc);
-            rounds += 1;
-            let cost_before = batch.total_latency_sum();
-            let victim = self.core.select_slc_victim_greedy();
-            let Some(victim) = victim else { break };
-            let Some(victim_addr) = self.core.meta.get(victim).map(|m| m.addr) else {
-                break;
-            };
-            let mut groups = std::mem::take(&mut self.core.gc_groups);
-            let groups_cap = groups.capacity();
-            self.core
-                .collect_victim_groups_into(dev, victim, &mut groups);
-            let mut aborted = false;
-            for group in &groups {
-                // Plain cache eviction: all valid data leaves the SLC region.
-                if self
-                    .core
-                    .relocate_group(dev, victim_addr, group, BlockLevel::HighDensity, now, batch)
-                    .is_err()
-                {
-                    aborted = true;
-                    break;
-                }
-            }
-            if groups.capacity() != groups_cap {
-                self.core.stats.scratch_grows += 1;
-            }
-            self.core.gc_groups = groups;
-            if aborted {
-                // Never erase a partially-relocated victim.
-                break;
-            }
-            self.core.erase_victim(dev, victim, now, batch);
-            let round_cost = batch.total_latency_sum() - cost_before;
-            self.core.finish_slc_gc_round(now, round_cost);
-        }
-        self.core.run_mlc_gc_if_needed(dev, now, batch);
-        self.core.run_wear_leveling_if_due(dev, now, batch);
-        self.core.run_scrub_if_due(dev, now, batch);
-    }
-}
-
-impl FtlScheme for BaselineFtl {
-    fn name(&self) -> &'static str {
-        "Baseline"
-    }
-
-    fn on_write_into(
-        &mut self,
-        req: &IoRequest,
-        now: Nanos,
-        dev: &mut FlashDevice,
-        out: &mut OpBatch,
-    ) {
-        self.core.begin_request(now);
-        self.core.stats.host_write_requests += 1;
-        for (start, len) in self.core.chunk_spans(req) {
-            // A chunk is a contiguous LSN run of at most one page: stage it in
-            // a stack buffer so the write path performs no heap allocation.
-            let mut chunk = [0 as Lsn; MAX_SUBPAGES_PER_PAGE];
-            for (i, slot) in chunk[..len as usize].iter_mut().enumerate() {
-                *slot = start + i as u64;
-            }
-            if let Err(e) = self.write_chunk(&chunk[..len as usize], now, dev, out) {
-                self.core.note_write_failure(&e, out);
-            }
-            self.run_gc(now, dev, out);
-        }
-    }
-
-    fn on_read_into(
-        &mut self,
-        req: &IoRequest,
-        now: Nanos,
-        dev: &mut FlashDevice,
-        out: &mut OpBatch,
-    ) {
-        self.core.begin_request(now);
-        if let Err(e) = self.core.host_read(req, dev, out) {
-            self.core.note_read_failure(&e, out);
-        }
-    }
-
-    fn power_cycle(&mut self, dev: &FlashDevice) {
-        self.core.rebuild_from_flash(dev);
-    }
-
-    fn stats(&self) -> &FtlStats {
-        &self.core.stats
-    }
-
-    fn mapping_memory(&self, _dev: &FlashDevice) -> MappingMemory {
-        MappingMemory::baseline(self.core.logical_pages())
-    }
-
-    fn core(&self) -> &FtlCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut FtlCore {
-        &mut self.core
-    }
-}
+//! Unit tests for the Baseline corner of the scheme grid: whole-page
+//! writes, greedy GC evicting to the high-density region.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ipu_flash::{DeviceConfig, SubpageState};
-    use ipu_trace::OpKind;
+    use ipu_flash::{DeviceConfig, FlashDevice, SubpageState};
+    use ipu_trace::{IoRequest, OpKind};
 
-    fn setup() -> (BaselineFtl, FlashDevice) {
+    use crate::config::FtlConfig;
+    use crate::ops::FlashOpKind;
+    use crate::schemes::{FtlScheme, SchemeFtl, SchemeKind};
+
+    fn setup() -> (SchemeFtl, FlashDevice) {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
-        let ftl = BaselineFtl::new(&mut dev, FtlConfig::default());
+        let ftl = SchemeFtl::new(SchemeKind::Baseline, &mut dev, FtlConfig::default());
         (ftl, dev)
     }
 
@@ -262,7 +108,7 @@ mod tests {
             },
             ..FtlConfig::default()
         };
-        let mut ftl = BaselineFtl::new(&mut dev, cfg);
+        let mut ftl = SchemeFtl::new(SchemeKind::Baseline, &mut dev, cfg);
         // Slot 0 is written once (cold, squats on its block); other slots
         // churn, racking up erases elsewhere and widening the wear gap.
         ftl.on_write(&w(0, 4096), 1, &mut dev);
@@ -291,7 +137,7 @@ mod tests {
             },
             ..FtlConfig::default()
         };
-        let mut ftl = BaselineFtl::new(&mut dev, cfg);
+        let mut ftl = SchemeFtl::new(SchemeKind::Baseline, &mut dev, cfg);
         for round in 0..40u64 {
             for slot in 0..5u64 {
                 let now = (round * 5 + slot) * 20_000_000;

@@ -1,7 +1,7 @@
 //! Shared FTL machinery: active blocks, chunking, programming, the host read
-//! path, and GC execution primitives. The three schemes (Baseline / MGA / IPU)
-//! differ only in placement policy, victim selection and GC data movement;
-//! everything else lives here.
+//! path, and GC execution primitives. The schemes (Baseline / MGA / IPU /
+//! IPU+) differ only in placement policy, victim selection and GC data
+//! movement, which [`super::SchemeFtl`] decides; everything else lives here.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -1,319 +1,31 @@
-//! The `IPU` scheme — the paper's contribution (§3).
-//!
-//! **Intra-page update:** a small update is partial-programmed into the free
-//! subpages of the *very page* holding the previous version, which is then
-//! invalidated. The only data disturbed in-page is the obsolete version, so
-//! in-page disturb on valid data disappears (Figure 8), and no general
-//! second-level mapping is needed — a page only ever holds one chunk's
-//! versions, so a 2-bit live-offset per SLC page suffices (Figure 11).
-//!
-//! **Upgraded movement:** when the update does not fit (no free run, NOP
-//! budget spent, or the old copy lives in MLC), the data moves to a fresh page
-//! one level *up* the Work → Monitor → Hot hierarchy — repeated updates are
-//! exactly what makes data hot (Figure 3, ① ② ③).
-//!
-//! **ISR GC with degraded movement:** the victim is the SLC block maximizing
-//! Equation 1's invalid-subpage ratio, with never-updated valid subpages
-//! weighted by age (Equation 2). Valid pages that were updated in place stay
-//! at their level; never-updated (cold) pages demote one level, falling out of
-//! the cache into MLC from the Work level (Figure 4).
-
-use ipu_flash::{CellMode, FlashDevice, Nanos, Ppa, MAX_SUBPAGES_PER_PAGE};
-use ipu_trace::IoRequest;
-
-use crate::config::FtlConfig;
-use crate::error::FtlError;
-use crate::memory::MappingMemory;
-use crate::ops::{FlashOpKind, OpBatch, RoundOrigin};
-use crate::stats::FtlStats;
-use crate::types::{BlockLevel, Lsn};
-
-use super::common::FtlCore;
-use super::FtlScheme;
-
-/// The paper's intra-page update FTL.
-#[derive(Debug)]
-pub struct IpuFtl {
-    core: FtlCore,
-}
-
-impl IpuFtl {
-    pub fn new(dev: &mut FlashDevice, cfg: FtlConfig) -> Self {
-        IpuFtl {
-            core: FtlCore::new(dev, cfg),
-        }
-    }
-
-    /// Handles one chunk of a write request (Algorithm 1, lines 2–13).
-    fn write_chunk(
-        &mut self,
-        lsns: &[Lsn],
-        now: Nanos,
-        dev: &mut FlashDevice,
-        batch: &mut OpBatch,
-    ) -> Result<(), FtlError> {
-        // Partition the chunk's subpages by where their current version lives.
-        // A chunk is a contiguous run of at most one page's subpages, so the
-        // partition fits in stack buffers and the mapping table is probed once
-        // per bucket span instead of once per subpage.
-        debug_assert!(lsns.len() <= MAX_SUBPAGES_PER_PAGE);
-        debug_assert!(lsns.windows(2).all(|w| w[1] == w[0] + 1));
-        let Some(&first) = lsns.first() else {
-            return Ok(());
-        };
-        let mut new_lsns = [0 as Lsn; MAX_SUBPAGES_PER_PAGE];
-        let mut new_n = 0usize;
-        let mut group_ppas = [Ppa::new(0, 0, 0, 0, 0, 0); MAX_SUBPAGES_PER_PAGE];
-        let mut group_lsns = [[0 as Lsn; MAX_SUBPAGES_PER_PAGE]; MAX_SUBPAGES_PER_PAGE];
-        let mut group_lens = [0u8; MAX_SUBPAGES_PER_PAGE];
-        let mut ng = 0usize;
-        self.core
-            .map
-            .lookup_span(first, first + lsns.len() as u64, |lsn, loc| {
-                let Some(spa) = loc else {
-                    new_lsns[new_n] = lsn;
-                    new_n += 1;
-                    return;
-                };
-                if let Some(g) = group_ppas[..ng].iter().position(|p| *p == spa.ppa) {
-                    group_lsns[g][group_lens[g] as usize] = lsn;
-                    group_lens[g] += 1;
-                } else {
-                    group_ppas[ng] = spa.ppa;
-                    group_lsns[ng][0] = lsn;
-                    group_lens[ng] = 1;
-                    ng += 1;
-                }
-            });
-
-        // New data goes straight to a Work block (Algorithm 1 line 5).
-        if new_n > 0 {
-            let (ppa, _) = self.core.take_host_page(dev, BlockLevel::Work, batch)?;
-            self.core.program_group(
-                dev,
-                ppa,
-                0,
-                &new_lsns[..new_n],
-                FlashOpKind::HostProgram,
-                now,
-                batch,
-            )?;
-        }
-
-        // Updates: intra-page if the old page can absorb them, else upgrade.
-        for g in 0..ng {
-            let old_ppa = group_ppas[g];
-            let group = &group_lsns[g][..group_lens[g] as usize];
-            let addr = old_ppa.block_addr();
-            let block = dev.block(addr);
-            let intra_offset = if block.mode() == CellMode::Slc {
-                let page = block.page(old_ppa.page);
-                if page.program_ops() < dev.config().max_partial_programs {
-                    page.find_free_run(group.len() as u8)
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-
-            match intra_offset {
-                Some(off) => {
-                    // Intra-page update (Algorithm 1 line 8): the data being
-                    // disturbed by this partial program is its own obsolete
-                    // version, invalidated by program_group's remap.
-                    self.core.program_group(
-                        dev,
-                        old_ppa,
-                        off,
-                        group,
-                        FlashOpKind::HostProgram,
-                        now,
-                        batch,
-                    )?;
-                    self.core.stats.intra_page_updates += 1;
-                }
-                None => {
-                    // Upgraded data movement (Algorithm 1 line 11): one level
-                    // up from wherever the old version lived, capped at the
-                    // configured top level (3 = Hot in the paper).
-                    let cur = self
-                        .core
-                        .meta
-                        .level(self.core.block_idx(addr))
-                        .unwrap_or(BlockLevel::HighDensity);
-                    let cap = BlockLevel::from_flag_clamped(self.core.cfg.ipu_max_level as i32);
-                    let target = cur.promoted().min(cap);
-                    // Hot data never takes the MLC bypass: retaining updated
-                    // data in the cache is the point of the hierarchy, and the
-                    // fallback chain inside take_page already handles genuine
-                    // exhaustion.
-                    let (ppa, _) = self.core.take_page(dev, target, batch)?;
-                    self.core.program_group(
-                        dev,
-                        ppa,
-                        0,
-                        group,
-                        FlashOpKind::HostProgram,
-                        now,
-                        batch,
-                    )?;
-                    self.core.stats.upgraded_writes += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// ISR-driven GC with degraded data movement (Algorithm 1 lines 14–19).
-    fn run_gc(&mut self, now: Nanos, dev: &mut FlashDevice, batch: &mut OpBatch) {
-        let mut rounds = 0;
-        while self.core.slc_gc_needed()
-            && self.core.slc_gc_gate_open(now)
-            && rounds < self.core.cfg.gc_rounds_per_write
-        {
-            let _span = ipu_obs::span(ipu_obs::Phase::Gc);
-            batch.begin_background_round(RoundOrigin::Gc);
-            rounds += 1;
-            let cost_before = batch.total_latency_sum();
-            let victim = if self.core.cfg.ipu_use_isr_gc {
-                self.core.select_slc_victim_isr(dev, now)
-            } else {
-                // Ablation: plain greedy victim selection.
-                self.core.select_slc_victim_greedy()
-            };
-            let Some(victim) = victim else { break };
-            let Some((victim_addr, victim_level)) =
-                self.core.meta.get(victim).map(|m| (m.addr, m.level))
-            else {
-                break;
-            };
-            let mut aborted = false;
-            let mut groups = std::mem::take(&mut self.core.gc_groups);
-            let groups_cap = groups.capacity();
-            self.core
-                .collect_victim_groups_into(dev, victim, &mut groups);
-            for group in &groups {
-                // Degraded movement: updated pages keep their level, cold
-                // pages sink one level (Work-level cold data leaves the cache).
-                let dest = if group.updated {
-                    victim_level
-                } else {
-                    victim_level.demoted()
-                };
-                if self
-                    .core
-                    .relocate_group(dev, victim_addr, group, dest, now, batch)
-                    .is_err()
-                {
-                    aborted = true;
-                    break;
-                }
-            }
-            if groups.capacity() != groups_cap {
-                self.core.stats.scratch_grows += 1;
-            }
-            self.core.gc_groups = groups;
-            if aborted {
-                // Never erase a partially-relocated victim.
-                break;
-            }
-            self.core.erase_victim(dev, victim, now, batch);
-            let round_cost = batch.total_latency_sum() - cost_before;
-            self.core.finish_slc_gc_round(now, round_cost);
-        }
-        self.core.run_mlc_gc_if_needed(dev, now, batch);
-        self.core.run_wear_leveling_if_due(dev, now, batch);
-        self.core.run_scrub_if_due(dev, now, batch);
-    }
-}
-
-impl FtlScheme for IpuFtl {
-    fn name(&self) -> &'static str {
-        "IPU"
-    }
-
-    fn on_write_into(
-        &mut self,
-        req: &IoRequest,
-        now: Nanos,
-        dev: &mut FlashDevice,
-        out: &mut OpBatch,
-    ) {
-        self.core.begin_request(now);
-        self.core.stats.host_write_requests += 1;
-        for (start, len) in self.core.chunk_spans(req) {
-            // A chunk is a contiguous LSN run of at most one page: stage it in
-            // a stack buffer so the write path performs no heap allocation.
-            let mut chunk = [0 as Lsn; MAX_SUBPAGES_PER_PAGE];
-            for (i, slot) in chunk[..len as usize].iter_mut().enumerate() {
-                *slot = start + i as u64;
-            }
-            if let Err(e) = self.write_chunk(&chunk[..len as usize], now, dev, out) {
-                self.core.note_write_failure(&e, out);
-            }
-            self.run_gc(now, dev, out);
-        }
-    }
-
-    fn on_read_into(
-        &mut self,
-        req: &IoRequest,
-        now: Nanos,
-        dev: &mut FlashDevice,
-        out: &mut OpBatch,
-    ) {
-        self.core.begin_request(now);
-        if let Err(e) = self.core.host_read(req, dev, out) {
-            self.core.note_read_failure(&e, out);
-        }
-    }
-
-    fn power_cycle(&mut self, dev: &FlashDevice) {
-        self.core.rebuild_from_flash(dev);
-    }
-
-    fn stats(&self) -> &FtlStats {
-        &self.core.stats
-    }
-
-    fn mapping_memory(&self, dev: &FlashDevice) -> MappingMemory {
-        let g = &dev.config().geometry;
-        let slc_blocks = self.core.blocks.slc_total();
-        let slc_pages = slc_blocks * g.pages_per_block_slc as u64;
-        MappingMemory::ipu(self.core.logical_pages(), slc_pages, slc_blocks)
-    }
-
-    fn core(&self) -> &FtlCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut FtlCore {
-        &mut self.core
-    }
-}
+//! Unit tests for the IPU corner of the scheme grid: intra-page updates,
+//! upgraded movement, ISR GC with degraded movement.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ipu_flash::{DeviceConfig, SubpageState};
-    use ipu_trace::OpKind;
+    use ipu_flash::{DeviceConfig, FlashDevice, SubpageState};
+    use ipu_trace::{IoRequest, OpKind};
 
-    fn setup() -> (IpuFtl, FlashDevice) {
+    use crate::config::FtlConfig;
+    use crate::ops::FlashOpKind;
+    use crate::schemes::{FtlScheme, SchemeFtl, SchemeKind};
+    use crate::types::BlockLevel;
+
+    fn setup() -> (SchemeFtl, FlashDevice) {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
-        let ftl = IpuFtl::new(&mut dev, FtlConfig::default());
+        let ftl = SchemeFtl::new(SchemeKind::Ipu, &mut dev, FtlConfig::default());
         (ftl, dev)
     }
 
     /// A roomier SLC region (8 blocks) so Work, Monitor and Hot actives can
     /// coexist without falling back down the hierarchy.
-    fn setup_roomy() -> (IpuFtl, FlashDevice) {
+    fn setup_roomy() -> (SchemeFtl, FlashDevice) {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
         let cfg = FtlConfig {
             slc_ratio: 0.25,
             ..FtlConfig::default()
         };
-        let ftl = IpuFtl::new(&mut dev, cfg);
+        let ftl = SchemeFtl::new(SchemeKind::Ipu, &mut dev, cfg);
         assert_eq!(ftl.core.blocks.slc_total(), 8);
         (ftl, dev)
     }

@@ -1,390 +1,22 @@
-//! `IPU+` — the paper's stated future work (§5), implemented as an extension.
-//!
-//! > "In the future, we will study improving the page utilization without a
-//! > noticeable error increase, by adaptively combining infrequent data and
-//! > saving them in the same page."
-//!
-//! IPU+ keeps everything that makes IPU work — intra-page updates for hot
-//! data, the three-level hierarchy, ISR GC with degraded movement — and adds
-//! MGA-style packing *for cold data only*: first-time (non-update) small
-//! writes are combined into shared Work-level pages. The bet is asymmetric:
-//!
-//! * cold data is rarely *read* back hot, so the in-page disturb that packing
-//!   inflicts on it contributes little to the measured read error rate, and
-//! * cold data dominates page consumption under IPU (hot updates recycle
-//!   their own pages), so packing it is where the utilization is lost.
-//!
-//! Updates never pack into foreign pages — that would reintroduce MGA's
-//! disturb on hot (read-heavy) data.
-
-use std::collections::VecDeque;
-
-use ipu_flash::{CellMode, FlashDevice, Nanos, Ppa, MAX_SUBPAGES_PER_PAGE};
-use ipu_trace::IoRequest;
-
-use crate::config::FtlConfig;
-use crate::error::FtlError;
-use crate::memory::MappingMemory;
-use crate::ops::{FlashOpKind, OpBatch, RoundOrigin};
-use crate::stats::FtlStats;
-use crate::types::{BlockLevel, Lsn};
-
-use super::common::FtlCore;
-use super::FtlScheme;
-
-/// IPU with adaptive cold-data packing (the paper's future-work design).
-#[derive(Debug)]
-pub struct IpuPlusFtl {
-    core: FtlCore,
-    /// Work-level pages holding packed cold data with room for more.
-    cold_open_pages: VecDeque<Ppa>,
-}
-
-impl IpuPlusFtl {
-    pub fn new(dev: &mut FlashDevice, cfg: FtlConfig) -> Self {
-        IpuPlusFtl {
-            core: FtlCore::new(dev, cfg),
-            cold_open_pages: VecDeque::new(),
-        }
-    }
-
-    /// Number of open cold-packing pages (introspection for tests).
-    pub fn cold_open_page_count(&self) -> usize {
-        self.cold_open_pages.len()
-    }
-
-    /// Finds an open cold page that can absorb `count` subpages.
-    fn find_cold_slot(&self, dev: &FlashDevice, count: u8) -> Option<(Ppa, u8)> {
-        for &ppa in &self.cold_open_pages {
-            let page = dev.block(ppa.block_addr()).page(ppa.page);
-            if page.program_ops() < dev.config().max_partial_programs {
-                if let Some(off) = page.find_free_run(count) {
-                    return Some((ppa, off));
-                }
-            }
-        }
-        None
-    }
-
-    fn refresh_cold_page(&mut self, dev: &FlashDevice, ppa: Ppa) {
-        let page = dev.block(ppa.block_addr()).page(ppa.page);
-        let usable = page.program_ops() < dev.config().max_partial_programs
-            && page.find_free_run(1).is_some();
-        if !usable {
-            self.cold_open_pages.retain(|&p| p != ppa);
-        }
-    }
-
-    /// Writes new (cold) data: packed into a shared page when small, fresh
-    /// Work page otherwise.
-    fn write_new(
-        &mut self,
-        lsns: &[Lsn],
-        now: Nanos,
-        dev: &mut FlashDevice,
-        batch: &mut OpBatch,
-    ) -> Result<(), FtlError> {
-        let k = lsns.len() as u8;
-        if k < self.core.spp() {
-            if let Some((ppa, off)) = self.find_cold_slot(dev, k) {
-                let res = self.core.program_group(
-                    dev,
-                    ppa,
-                    off,
-                    lsns,
-                    FlashOpKind::HostProgram,
-                    now,
-                    batch,
-                );
-                // A failed program may have retired blocks holding open pages.
-                self.cold_open_pages.retain(|p| {
-                    !self
-                        .core
-                        .bad_blocks()
-                        .contains(&self.core.block_idx(p.block_addr()))
-                });
-                self.refresh_cold_page(dev, ppa);
-                return res;
-            }
-        }
-        let (ppa, level) = self.core.take_host_page(dev, BlockLevel::Work, batch)?;
-        self.core
-            .program_group(dev, ppa, 0, lsns, FlashOpKind::HostProgram, now, batch)?;
-        if level.is_slc()
-            && k < self.core.spp()
-            && !self
-                .core
-                .bad_blocks()
-                .contains(&self.core.block_idx(ppa.block_addr()))
-        {
-            self.cold_open_pages.push_back(ppa);
-            while self.cold_open_pages.len() > self.core.cfg.mga_open_page_limit {
-                self.cold_open_pages.pop_front();
-            }
-        }
-        Ok(())
-    }
-
-    /// IPU's update handling, verbatim: intra-page when possible, else
-    /// upgraded movement.
-    fn write_update(
-        &mut self,
-        old_ppa: Ppa,
-        group: &[Lsn],
-        now: Nanos,
-        dev: &mut FlashDevice,
-        batch: &mut OpBatch,
-    ) -> Result<(), FtlError> {
-        let addr = old_ppa.block_addr();
-        let block = dev.block(addr);
-        let intra_offset = if block.mode() == CellMode::Slc {
-            let page = block.page(old_ppa.page);
-            if page.program_ops() < dev.config().max_partial_programs {
-                page.find_free_run(group.len() as u8)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        match intra_offset {
-            Some(off) => {
-                self.core.program_group(
-                    dev,
-                    old_ppa,
-                    off,
-                    group,
-                    FlashOpKind::HostProgram,
-                    now,
-                    batch,
-                )?;
-                self.core.stats.intra_page_updates += 1;
-                // If the page was an open cold page, its remaining space may
-                // now be gone.
-                self.refresh_cold_page(dev, old_ppa);
-            }
-            None => {
-                let cur = self
-                    .core
-                    .meta
-                    .level(self.core.block_idx(addr))
-                    .unwrap_or(BlockLevel::HighDensity);
-                let cap = BlockLevel::from_flag_clamped(self.core.cfg.ipu_max_level as i32);
-                let target = cur.promoted().min(cap);
-                let (ppa, _) = self.core.take_page(dev, target, batch)?;
-                self.core.program_group(
-                    dev,
-                    ppa,
-                    0,
-                    group,
-                    FlashOpKind::HostProgram,
-                    now,
-                    batch,
-                )?;
-                self.core.stats.upgraded_writes += 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn write_chunk(
-        &mut self,
-        lsns: &[Lsn],
-        now: Nanos,
-        dev: &mut FlashDevice,
-        batch: &mut OpBatch,
-    ) -> Result<(), FtlError> {
-        // A chunk is a contiguous run of at most one page's subpages, so the
-        // partition fits in stack buffers and the mapping table is probed once
-        // per bucket span instead of once per subpage.
-        debug_assert!(lsns.len() <= MAX_SUBPAGES_PER_PAGE);
-        debug_assert!(lsns.windows(2).all(|w| w[1] == w[0] + 1));
-        let Some(&first) = lsns.first() else {
-            return Ok(());
-        };
-        let mut new_lsns = [0 as Lsn; MAX_SUBPAGES_PER_PAGE];
-        let mut new_n = 0usize;
-        let mut group_ppas = [Ppa::new(0, 0, 0, 0, 0, 0); MAX_SUBPAGES_PER_PAGE];
-        let mut group_lsns = [[0 as Lsn; MAX_SUBPAGES_PER_PAGE]; MAX_SUBPAGES_PER_PAGE];
-        let mut group_lens = [0u8; MAX_SUBPAGES_PER_PAGE];
-        let mut ng = 0usize;
-        self.core
-            .map
-            .lookup_span(first, first + lsns.len() as u64, |lsn, loc| {
-                let Some(spa) = loc else {
-                    new_lsns[new_n] = lsn;
-                    new_n += 1;
-                    return;
-                };
-                if let Some(g) = group_ppas[..ng].iter().position(|p| *p == spa.ppa) {
-                    group_lsns[g][group_lens[g] as usize] = lsn;
-                    group_lens[g] += 1;
-                } else {
-                    group_ppas[ng] = spa.ppa;
-                    group_lsns[ng][0] = lsn;
-                    group_lens[ng] = 1;
-                    ng += 1;
-                }
-            });
-        if new_n > 0 {
-            self.write_new(&new_lsns[..new_n], now, dev, batch)?;
-        }
-        for g in 0..ng {
-            let group = &group_lsns[g][..group_lens[g] as usize];
-            self.write_update(group_ppas[g], group, now, dev, batch)?;
-        }
-        Ok(())
-    }
-
-    /// IPU's ISR GC with degraded movement, plus open-page hygiene.
-    fn run_gc(&mut self, now: Nanos, dev: &mut FlashDevice, batch: &mut OpBatch) {
-        let mut rounds = 0;
-        while self.core.slc_gc_needed()
-            && self.core.slc_gc_gate_open(now)
-            && rounds < self.core.cfg.gc_rounds_per_write
-        {
-            let _span = ipu_obs::span(ipu_obs::Phase::Gc);
-            batch.begin_background_round(RoundOrigin::Gc);
-            rounds += 1;
-            let cost_before = batch.total_latency_sum();
-            let victim = self.core.select_slc_victim_isr(dev, now);
-            let Some(victim) = victim else { break };
-            let Some((victim_addr, victim_level)) =
-                self.core.meta.get(victim).map(|m| (m.addr, m.level))
-            else {
-                break;
-            };
-            self.cold_open_pages
-                .retain(|p| p.block_addr() != victim_addr);
-            let mut aborted = false;
-            let mut groups = std::mem::take(&mut self.core.gc_groups);
-            let groups_cap = groups.capacity();
-            self.core
-                .collect_victim_groups_into(dev, victim, &mut groups);
-            for group in &groups {
-                let dest = if group.updated {
-                    victim_level
-                } else {
-                    victim_level.demoted()
-                };
-                if self
-                    .core
-                    .relocate_group(dev, victim_addr, group, dest, now, batch)
-                    .is_err()
-                {
-                    aborted = true;
-                    break;
-                }
-            }
-            if groups.capacity() != groups_cap {
-                self.core.stats.scratch_grows += 1;
-            }
-            self.core.gc_groups = groups;
-            if aborted {
-                // Never erase a partially-relocated victim.
-                break;
-            }
-            self.core.erase_victim(dev, victim, now, batch);
-            let round_cost = batch.total_latency_sum() - cost_before;
-            self.core.finish_slc_gc_round(now, round_cost);
-        }
-        self.core.run_mlc_gc_if_needed(dev, now, batch);
-        self.core.run_wear_leveling_if_due(dev, now, batch);
-        self.core.run_scrub_if_due(dev, now, batch);
-    }
-}
-
-impl FtlScheme for IpuPlusFtl {
-    fn name(&self) -> &'static str {
-        "IPU+"
-    }
-
-    fn on_write_into(
-        &mut self,
-        req: &IoRequest,
-        now: Nanos,
-        dev: &mut FlashDevice,
-        out: &mut OpBatch,
-    ) {
-        self.core.begin_request(now);
-        self.core.stats.host_write_requests += 1;
-        for (start, len) in self.core.chunk_spans(req) {
-            // A chunk is a contiguous LSN run of at most one page: stage it in
-            // a stack buffer so the write path performs no heap allocation.
-            let mut chunk = [0 as Lsn; MAX_SUBPAGES_PER_PAGE];
-            for (i, slot) in chunk[..len as usize].iter_mut().enumerate() {
-                *slot = start + i as u64;
-            }
-            if let Err(e) = self.write_chunk(&chunk[..len as usize], now, dev, out) {
-                self.core.note_write_failure(&e, out);
-            }
-            self.run_gc(now, dev, out);
-        }
-    }
-
-    fn on_read_into(
-        &mut self,
-        req: &IoRequest,
-        now: Nanos,
-        dev: &mut FlashDevice,
-        out: &mut OpBatch,
-    ) {
-        self.core.begin_request(now);
-        if let Err(e) = self.core.host_read(req, dev, out) {
-            self.core.note_read_failure(&e, out);
-        }
-    }
-
-    fn power_cycle(&mut self, dev: &FlashDevice) {
-        // Cold packing candidates are volatile controller state.
-        self.cold_open_pages.clear();
-        self.core.rebuild_from_flash(dev);
-    }
-
-    fn stats(&self) -> &FtlStats {
-        &self.core.stats
-    }
-
-    fn mapping_memory(&self, dev: &FlashDevice) -> MappingMemory {
-        // Cold packing scatters chunks like MGA (second-level entries), and
-        // the level labels / live-offset bits of IPU still apply; account for
-        // both (the honest, slightly pessimistic model).
-        let g = &dev.config().geometry;
-        let spp = g.subpages_per_page();
-        let summary = self.core.map.chunk_summary(spp);
-        let slc_blocks = self.core.blocks.slc_total();
-        let slc_pages = slc_blocks * g.pages_per_block_slc as u64;
-        let mga = MappingMemory::mga(self.core.logical_pages(), summary.scattered_chunks, spp);
-        let ipu = MappingMemory::ipu(self.core.logical_pages(), slc_pages, slc_blocks);
-        MappingMemory {
-            page_table_bytes: mga.page_table_bytes,
-            second_level_bytes: mga.second_level_bytes + ipu.second_level_bytes,
-            label_bytes: ipu.label_bytes,
-        }
-    }
-
-    fn core(&self) -> &FtlCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut FtlCore {
-        &mut self.core
-    }
-}
+//! Unit tests for the IPU+ corner of the scheme grid: IPU's update
+//! hierarchy plus packing of new (cold) data.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ipu_flash::DeviceConfig;
-    use ipu_trace::OpKind;
+    use ipu_flash::{DeviceConfig, FlashDevice};
+    use ipu_trace::{IoRequest, OpKind};
 
-    fn setup() -> (IpuPlusFtl, FlashDevice) {
+    use crate::config::FtlConfig;
+    use crate::schemes::{FtlScheme, SchemeFtl, SchemeKind};
+    use crate::types::BlockLevel;
+
+    fn setup() -> (SchemeFtl, FlashDevice) {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
         let cfg = FtlConfig {
             slc_ratio: 0.25,
             ..FtlConfig::default()
         };
-        let ftl = IpuPlusFtl::new(&mut dev, cfg);
+        let ftl = SchemeFtl::new(SchemeKind::IpuPlus, &mut dev, cfg);
         (ftl, dev)
     }
 
@@ -428,11 +60,12 @@ mod tests {
                 slc_ratio: 0.25,
                 ..FtlConfig::default()
             };
-            let mut ftl: Box<dyn FtlScheme> = if plus {
-                Box::new(IpuPlusFtl::new(&mut dev, cfg))
+            let kind = if plus {
+                SchemeKind::IpuPlus
             } else {
-                Box::new(super::super::ipu::IpuFtl::new(&mut dev, cfg))
+                SchemeKind::Ipu
             };
+            let mut ftl = SchemeFtl::new(kind, &mut dev, cfg);
             for i in 0..200u64 {
                 let now = i * 20_000_000;
                 ftl.on_write(

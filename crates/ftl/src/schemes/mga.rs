@@ -1,251 +1,18 @@
-//! The `MGA` scheme (Mapping Granularity Adaptive, Feng et al., DATE'17):
-//! subpage-granular space management with partial programming.
-//!
-//! Small write chunks are packed into the free subpages of *open pages* —
-//! pages that still have free contiguous space and remaining NOP budget —
-//! regardless of which request the page's earlier data belongs to. This
-//! maximizes page utilization (~99.9% in the paper's Figure 9) but every
-//! packing partial-program disturbs the valid data already in the page, which
-//! is why MGA shows the worst read error rate in Figure 8. A two-level mapping
-//! table (page table + subpage entries for scattered chunks) models its memory
-//! cost. GC is greedy at subpage granularity and evicts valid data to MLC.
-
-use std::collections::VecDeque;
-
-use ipu_flash::{FlashDevice, Nanos, Ppa, MAX_SUBPAGES_PER_PAGE};
-use ipu_trace::IoRequest;
-
-use crate::config::FtlConfig;
-use crate::error::FtlError;
-use crate::memory::MappingMemory;
-use crate::ops::{FlashOpKind, OpBatch, RoundOrigin};
-use crate::stats::FtlStats;
-use crate::types::{BlockLevel, Lsn};
-
-use super::common::FtlCore;
-use super::FtlScheme;
-
-/// Subpage-packing FTL with partial programming.
-#[derive(Debug)]
-pub struct MgaFtl {
-    core: FtlCore,
-    /// Pages with free subpage runs and remaining NOP budget, oldest first.
-    open_pages: VecDeque<Ppa>,
-}
-
-impl MgaFtl {
-    pub fn new(dev: &mut FlashDevice, cfg: FtlConfig) -> Self {
-        MgaFtl {
-            core: FtlCore::new(dev, cfg),
-            open_pages: VecDeque::new(),
-        }
-    }
-
-    /// Number of currently-open packing candidate pages (introspection).
-    pub fn open_page_count(&self) -> usize {
-        self.open_pages.len()
-    }
-
-    /// First open page that can absorb `count` subpages, with the offset.
-    fn find_open_slot(&self, dev: &FlashDevice, count: u8) -> Option<(usize, Ppa, u8)> {
-        for (i, &ppa) in self.open_pages.iter().enumerate() {
-            let page = dev.block(ppa.block_addr()).page(ppa.page);
-            if page.program_ops() < dev.config().max_partial_programs {
-                if let Some(off) = page.find_free_run(count) {
-                    return Some((i, ppa, off));
-                }
-            }
-        }
-        None
-    }
-
-    /// Drops an open page that can no longer accept data, keeps it otherwise.
-    fn refresh_open_page(&mut self, dev: &FlashDevice, ppa: Ppa) {
-        let page = dev.block(ppa.block_addr()).page(ppa.page);
-        let usable = page.program_ops() < dev.config().max_partial_programs
-            && page.find_free_run(1).is_some();
-        if !usable {
-            self.open_pages.retain(|&p| p != ppa);
-        }
-    }
-
-    fn write_chunk(
-        &mut self,
-        lsns: &[Lsn],
-        now: Nanos,
-        dev: &mut FlashDevice,
-        batch: &mut OpBatch,
-    ) -> Result<(), FtlError> {
-        let k = lsns.len() as u8;
-        // Pack sub-page chunks into an open page when possible.
-        if k < self.core.spp() {
-            if let Some((_, ppa, off)) = self.find_open_slot(dev, k) {
-                let res = self.core.program_group(
-                    dev,
-                    ppa,
-                    off,
-                    lsns,
-                    FlashOpKind::HostProgram,
-                    now,
-                    batch,
-                );
-                // A failed program may have retired the target block; the
-                // refresh drops the page either way once it is unusable. Open
-                // pages on retired blocks are purged below regardless.
-                self.open_pages.retain(|p| {
-                    !self
-                        .core
-                        .bad_blocks()
-                        .contains(&self.core.block_idx(p.block_addr()))
-                });
-                self.refresh_open_page(dev, ppa);
-                return res;
-            }
-        }
-        // Otherwise open a fresh page; leftovers become packing space.
-        let (ppa, level) = self.core.take_host_page(dev, BlockLevel::Work, batch)?;
-        self.core
-            .program_group(dev, ppa, 0, lsns, FlashOpKind::HostProgram, now, batch)?;
-        if level.is_slc()
-            && k < self.core.spp()
-            && !self
-                .core
-                .bad_blocks()
-                .contains(&self.core.block_idx(ppa.block_addr()))
-        {
-            self.open_pages.push_back(ppa);
-            while self.open_pages.len() > self.core.cfg.mga_open_page_limit {
-                self.open_pages.pop_front();
-            }
-        }
-        Ok(())
-    }
-
-    fn run_gc(&mut self, now: Nanos, dev: &mut FlashDevice, batch: &mut OpBatch) {
-        let mut rounds = 0;
-        while self.core.slc_gc_needed()
-            && self.core.slc_gc_gate_open(now)
-            && rounds < self.core.cfg.gc_rounds_per_write
-        {
-            let _span = ipu_obs::span(ipu_obs::Phase::Gc);
-            batch.begin_background_round(RoundOrigin::Gc);
-            rounds += 1;
-            let cost_before = batch.total_latency_sum();
-            let victim = self.core.select_slc_victim_greedy();
-            let Some(victim) = victim else { break };
-            let Some(victim_addr) = self.core.meta.get(victim).map(|m| m.addr) else {
-                break;
-            };
-            // Victim pages can no longer serve as packing targets.
-            self.open_pages.retain(|p| p.block_addr() != victim_addr);
-            let mut aborted = false;
-            let mut groups = std::mem::take(&mut self.core.gc_groups);
-            let groups_cap = groups.capacity();
-            self.core
-                .collect_victim_groups_into(dev, victim, &mut groups);
-            for group in &groups {
-                if self
-                    .core
-                    .relocate_group(dev, victim_addr, group, BlockLevel::HighDensity, now, batch)
-                    .is_err()
-                {
-                    aborted = true;
-                    break;
-                }
-            }
-            if groups.capacity() != groups_cap {
-                self.core.stats.scratch_grows += 1;
-            }
-            self.core.gc_groups = groups;
-            if aborted {
-                // Never erase a partially-relocated victim.
-                break;
-            }
-            self.core.erase_victim(dev, victim, now, batch);
-            let round_cost = batch.total_latency_sum() - cost_before;
-            self.core.finish_slc_gc_round(now, round_cost);
-        }
-        self.core.run_mlc_gc_if_needed(dev, now, batch);
-        self.core.run_wear_leveling_if_due(dev, now, batch);
-        self.core.run_scrub_if_due(dev, now, batch);
-    }
-}
-
-impl FtlScheme for MgaFtl {
-    fn name(&self) -> &'static str {
-        "MGA"
-    }
-
-    fn on_write_into(
-        &mut self,
-        req: &IoRequest,
-        now: Nanos,
-        dev: &mut FlashDevice,
-        out: &mut OpBatch,
-    ) {
-        self.core.begin_request(now);
-        self.core.stats.host_write_requests += 1;
-        for (start, len) in self.core.chunk_spans(req) {
-            // A chunk is a contiguous LSN run of at most one page: stage it in
-            // a stack buffer so the write path performs no heap allocation.
-            let mut chunk = [0 as Lsn; MAX_SUBPAGES_PER_PAGE];
-            for (i, slot) in chunk[..len as usize].iter_mut().enumerate() {
-                *slot = start + i as u64;
-            }
-            if let Err(e) = self.write_chunk(&chunk[..len as usize], now, dev, out) {
-                self.core.note_write_failure(&e, out);
-            }
-            self.run_gc(now, dev, out);
-        }
-    }
-
-    fn on_read_into(
-        &mut self,
-        req: &IoRequest,
-        now: Nanos,
-        dev: &mut FlashDevice,
-        out: &mut OpBatch,
-    ) {
-        self.core.begin_request(now);
-        if let Err(e) = self.core.host_read(req, dev, out) {
-            self.core.note_read_failure(&e, out);
-        }
-    }
-
-    fn power_cycle(&mut self, dev: &FlashDevice) {
-        // Open packing candidates are volatile controller state.
-        self.open_pages.clear();
-        self.core.rebuild_from_flash(dev);
-    }
-
-    fn stats(&self) -> &FtlStats {
-        &self.core.stats
-    }
-
-    fn mapping_memory(&self, dev: &FlashDevice) -> MappingMemory {
-        let spp = dev.config().geometry.subpages_per_page();
-        let summary = self.core.map.chunk_summary(spp);
-        MappingMemory::mga(self.core.logical_pages(), summary.scattered_chunks, spp)
-    }
-
-    fn core(&self) -> &FtlCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut FtlCore {
-        &mut self.core
-    }
-}
+//! Unit tests for the MGA corner of the scheme grid: small writes pack into
+//! open pages, greedy GC evicting to the high-density region.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ipu_flash::{DeviceConfig, SubpageState};
-    use ipu_trace::OpKind;
+    use ipu_flash::{DeviceConfig, FlashDevice, SubpageState};
+    use ipu_trace::{IoRequest, OpKind};
 
-    fn setup() -> (MgaFtl, FlashDevice) {
+    use crate::config::FtlConfig;
+    use crate::memory::MappingMemory;
+    use crate::schemes::{FtlScheme, SchemeFtl, SchemeKind};
+
+    fn setup() -> (SchemeFtl, FlashDevice) {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
-        let ftl = MgaFtl::new(&mut dev, FtlConfig::default());
+        let ftl = SchemeFtl::new(SchemeKind::Mga, &mut dev, FtlConfig::default());
         (ftl, dev)
     }
 

@@ -657,3 +657,28 @@ fn no_debug_print(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    /// The scope lists name files by path, so a renamed or deleted file would
+    /// silently drop out of its rule's scope: every listed path must exist
+    /// under the workspace root.
+    #[test]
+    fn every_scoped_path_exists() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let missing: Vec<&str> = ORDERED_OUTPUT_FILES
+            .iter()
+            .copied()
+            .chain(SERDE_DEFAULT_SCOPES.iter().map(|&(f, _)| f))
+            .chain(DOC_SCOPES.iter().map(|&(f, _)| f))
+            .filter(|f| !root.join(f).is_file())
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "scoped paths not in the workspace: {missing:?}"
+        );
+    }
+}
