@@ -6,8 +6,6 @@
 //! ISR GC policy's Equation 2), and whether a page has received an intra-page
 //! update (which drives the paper's degraded data movement in GC).
 
-use std::collections::BTreeMap;
-
 use ipu_flash::{BlockAddr, Nanos};
 
 use crate::types::BlockLevel;
@@ -274,16 +272,78 @@ impl BlockMeta {
     }
 }
 
-/// Registry of in-use blocks and their metadata, keyed by dense block index.
+/// Registry of in-use blocks and their metadata, indexed by dense block index.
+///
+/// Every program and GC step looks blocks up here, so the registry is a
+/// directory array rather than a map: one boxed slot per block index (8 B per
+/// device block while empty) plus one in-use bit per block for each region.
+/// Walks visit set bits in ascending block order, the order the schemes'
+/// bounded scans (emergency reclaim, scrub, wear leveling, power-loss replay)
+/// and their tie-breaks depend on.
 #[derive(Debug, Clone, Default)]
 pub struct CacheMeta {
-    blocks: BTreeMap<u64, BlockMeta>,
+    /// Slot per dense block index; `Some` while the block is in use. Grown on
+    /// demand to the largest index opened.
+    slots: Vec<Option<Box<BlockMeta>>>,
+    /// In-use bit per block whose level is in the SLC cache.
+    slc_bits: Vec<u64>,
+    /// In-use bit per block in the MLC region (`HighDensity`).
+    mlc_bits: Vec<u64>,
+    len: usize,
     next_seq: u64,
+}
+
+/// Indices of the set bits of `words`, ascending.
+fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = u64> {
+    words.enumerate().flat_map(|(wi, mut w)| {
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros() as u64;
+                w &= w - 1;
+                wi as u64 * 64 + bit
+            })
+        })
+    })
 }
 
 impl CacheMeta {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sets block `i`'s in-use bit in the SLC (`Some(true)`) or MLC
+    /// (`Some(false)`) bitset and clears it in the other; `None` clears both.
+    fn mark_in_use(&mut self, i: usize, slc: Option<bool>) {
+        let bit = 1u64 << (i % 64);
+        for (region, bits) in [(true, &mut self.slc_bits), (false, &mut self.mlc_bits)] {
+            if let Some(w) = bits.get_mut(i / 64) {
+                if slc == Some(region) {
+                    *w |= bit;
+                } else {
+                    *w &= !bit;
+                }
+            }
+        }
+    }
+
+    /// Stores `meta` in `block_idx`'s slot (growing the directory to reach
+    /// it) and returns it in place.
+    fn install(&mut self, block_idx: u64, meta: BlockMeta) -> &mut BlockMeta {
+        let i = block_idx as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+            let words = self.slots.len().div_ceil(64);
+            self.slc_bits.resize(words, 0);
+            self.mlc_bits.resize(words, 0);
+        }
+        self.mark_in_use(i, Some(meta.level.is_slc()));
+        let slot = &mut self.slots[i];
+        if slot.is_some() {
+            debug_assert!(false, "block {} registered twice", meta.addr);
+        } else {
+            self.len += 1;
+        }
+        slot.insert(Box::new(meta))
     }
 
     /// Registers a freshly-opened block at `level`.
@@ -297,16 +357,19 @@ impl CacheMeta {
     ) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let prev = self.blocks.insert(
+        self.install(
             block_idx,
             BlockMeta::new(addr, level, seq, pages, subpages_per_page),
         );
-        debug_assert!(prev.is_none(), "block {addr} opened twice");
     }
 
     /// Removes a block's metadata (called at erase).
     pub fn close_block(&mut self, block_idx: u64) -> Option<BlockMeta> {
-        self.blocks.remove(&block_idx)
+        let i = block_idx as usize;
+        let meta = self.slots.get_mut(i)?.take()?;
+        self.mark_in_use(i, None);
+        self.len -= 1;
+        Some(*meta)
     }
 
     /// Re-registers a block with its *original* open sequence number during
@@ -324,15 +387,10 @@ impl CacheMeta {
         pages: u32,
         subpages_per_page: u32,
     ) -> &mut BlockMeta {
-        let meta = BlockMeta::new(addr, level, opened_seq, pages, subpages_per_page);
-        match self.blocks.entry(block_idx) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                debug_assert!(false, "block {addr} restored twice");
-                e.insert(meta);
-                e.into_mut()
-            }
-            std::collections::btree_map::Entry::Vacant(v) => v.insert(meta),
-        }
+        self.install(
+            block_idx,
+            BlockMeta::new(addr, level, opened_seq, pages, subpages_per_page),
+        )
     }
 
     /// Sets the next open sequence number (power-loss reconstruction: one
@@ -341,41 +399,54 @@ impl CacheMeta {
         self.next_seq = seq;
     }
 
+    #[inline]
     pub fn get(&self, block_idx: u64) -> Option<&BlockMeta> {
-        self.blocks.get(&block_idx)
+        self.slots.get(block_idx as usize)?.as_deref()
     }
 
+    #[inline]
     pub fn get_mut(&mut self, block_idx: u64) -> Option<&mut BlockMeta> {
-        self.blocks.get_mut(&block_idx)
+        self.slots.get_mut(block_idx as usize)?.as_deref_mut()
     }
 
     /// Level of a block, if tracked.
+    #[inline]
     pub fn level(&self, block_idx: u64) -> Option<BlockLevel> {
-        self.blocks.get(&block_idx).map(|m| m.level)
+        self.get(block_idx).map(|m| m.level)
     }
 
-    /// Iterates `(block_idx, meta)` over all in-use blocks.
+    /// Resolves walked block indices to their metadata.
+    fn metas_of(
+        &self,
+        indices: impl Iterator<Item = u64>,
+    ) -> impl Iterator<Item = (u64, &BlockMeta)> {
+        indices.filter_map(|i| self.get(i).map(|m| (i, m)))
+    }
+
+    /// Iterates `(block_idx, meta)` over all in-use blocks, ascending index.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &BlockMeta)> {
-        self.blocks.iter().map(|(&i, m)| (i, m))
+        let words = self.slc_bits.iter().zip(&self.mlc_bits).map(|(s, m)| s | m);
+        self.metas_of(set_bits(words))
     }
 
     /// Number of in-use blocks tracked.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len == 0
     }
 
-    /// In-use blocks in the SLC cache (level above `HighDensity`).
+    /// In-use blocks in the SLC cache (level above `HighDensity`), ascending
+    /// index.
     pub fn slc_blocks(&self) -> impl Iterator<Item = (u64, &BlockMeta)> {
-        self.iter().filter(|(_, m)| m.level.is_slc())
+        self.metas_of(set_bits(self.slc_bits.iter().copied()))
     }
 
-    /// In-use blocks in the MLC region.
+    /// In-use blocks in the MLC region, ascending index.
     pub fn mlc_blocks(&self) -> impl Iterator<Item = (u64, &BlockMeta)> {
-        self.iter().filter(|(_, m)| !m.level.is_slc())
+        self.metas_of(set_bits(self.mlc_bits.iter().copied()))
     }
 }
 

@@ -234,9 +234,13 @@ impl SchemeFtl {
     }
 
     /// First open page that can absorb `count` subpages, with the offset.
+    /// Pages whose block was retired or erased since they were registered
+    /// are skipped: a partial program must never land outside an in-use
+    /// block.
     fn find_open_slot(&self, dev: &FlashDevice, count: u8) -> Option<(Ppa, u8)> {
         self.open_pages
             .iter()
+            .filter(|&&ppa| in_use(&self.core, ppa))
             .find_map(|&ppa| free_run(dev, ppa, count).map(|off| (ppa, off)))
     }
 
@@ -324,7 +328,7 @@ impl SchemeFtl {
                     batch,
                 );
                 // A failed program may have retired blocks holding open pages.
-                self.open_pages.retain(|&p| !on_bad_block(&self.core, p));
+                self.open_pages.retain(|&p| in_use(&self.core, p));
                 self.refresh_open_page(dev, ppa);
                 return res;
             }
@@ -333,7 +337,7 @@ impl SchemeFtl {
         self.core
             .program_group(dev, ppa, 0, lsns, FlashOpKind::HostProgram, now, batch)?;
         // The fresh page's leftover subpages become packing space.
-        if pack && level.is_slc() && !on_bad_block(&self.core, ppa) {
+        if pack && level.is_slc() && in_use(&self.core, ppa) {
             self.open_pages.push_back(ppa);
             while self.open_pages.len() > self.core.cfg.mga_open_page_limit {
                 self.open_pages.pop_front();
@@ -354,7 +358,11 @@ impl SchemeFtl {
         batch: &mut OpBatch,
     ) -> Result<(), FtlError> {
         let addr = old_ppa.block_addr();
-        let intra_offset = if dev.block(addr).mode() == CellMode::Slc {
+        // `None` once a program failure earlier in this chunk retired the old
+        // block (relocating its data): a retired block takes no more data,
+        // so such an update falls back to upgraded movement.
+        let cur = self.core.meta.level(self.core.block_idx(addr));
+        let intra_offset = if cur.is_some() && dev.block(addr).mode() == CellMode::Slc {
             free_run(dev, old_ppa, group.len() as u8)
         } else {
             None
@@ -369,11 +377,7 @@ impl SchemeFtl {
                 // never takes the MLC bypass: retaining updated data in the
                 // cache is the point of the hierarchy, and the fallback chain
                 // inside take_page already handles genuine exhaustion.
-                let cur = self
-                    .core
-                    .meta
-                    .level(self.core.block_idx(addr))
-                    .unwrap_or(BlockLevel::HighDensity);
+                let cur = cur.unwrap_or(BlockLevel::HighDensity);
                 let cap = BlockLevel::from_flag_clamped(self.core.cfg.ipu_max_level as i32);
                 let (ppa, _) = self.core.take_page(dev, cur.promoted().min(cap), batch)?;
                 (ppa, 0)
@@ -469,10 +473,10 @@ fn free_run(dev: &FlashDevice, ppa: Ppa, count: u8) -> Option<u8> {
     }
 }
 
-/// Whether `ppa` lies on a retired block.
-fn on_bad_block(core: &FtlCore, ppa: Ppa) -> bool {
-    core.bad_blocks()
-        .contains(&core.block_idx(ppa.block_addr()))
+/// Whether `ppa` lies on an in-use block, i.e. one with cache metadata
+/// (retirement and erase drop it).
+fn in_use(core: &FtlCore, ppa: Ppa) -> bool {
+    core.meta.get(core.block_idx(ppa.block_addr())).is_some()
 }
 
 impl FtlScheme for SchemeFtl {
