@@ -154,16 +154,14 @@ impl FlashDevice {
         // ipu-lint: allow(panic-reachability) — constructor contract: configs are validated at the experiment boundary, a bad one here is programmer error
         cfg.validate().expect("invalid device configuration");
         let g = &cfg.geometry;
-        let subpages = g.subpages_per_page() as u8;
-        let blocks = (0..g.total_blocks())
-            .map(|_| {
-                BlockState::erased(
-                    cfg.initial_mode,
-                    g.pages_per_block(cfg.initial_mode),
-                    subpages,
-                )
-            })
-            .collect();
+        // Page state materializes on a block's first program, so an erased
+        // block is a few words and the whole array is one cheap fill.
+        let erased = BlockState::erased(
+            cfg.initial_mode,
+            g.pages_per_block(cfg.initial_mode),
+            g.subpages_per_page() as u8,
+        );
+        let blocks = vec![erased; g.total_blocks() as usize];
         let wear = WearTracker::new(g.total_blocks(), cfg.initial_pe_cycles);
         FlashDevice {
             cfg,
@@ -203,23 +201,14 @@ impl FlashDevice {
     /// Used at device initialization to carve out the SLC-mode cache region.
     /// Panics if the block has been programmed since its last erase.
     pub fn set_block_mode(&mut self, addr: BlockAddr, mode: CellMode) {
-        let g = self.cfg.geometry.clone();
+        let g = &self.cfg.geometry;
         let idx = g.block_index(addr) as usize;
         assert!(
             self.blocks[idx].is_pristine(),
             "set_block_mode requires a pristine block; erase {addr} instead"
         );
-        let subpages = g.subpages_per_page() as u8;
-        let pages = g.pages_per_block(mode);
-        // Re-shape without charging an erase: swap in a fresh state that keeps
-        // the existing erase count.
-        let erases = self.blocks[idx].erase_count();
-        let mut fresh = BlockState::erased(mode, pages, subpages);
-        for _ in 0..erases {
-            // Preserve the historical erase count on the new state.
-            fresh.erase(mode, pages, subpages);
-        }
-        self.blocks[idx] = fresh;
+        // Re-shape without charging an erase: the erase count carries over.
+        self.blocks[idx].reformat(mode, g.pages_per_block(mode));
     }
 
     /// Programs `count` subpages starting at `spa` in one program operation.
@@ -491,8 +480,7 @@ impl FlashDevice {
         let g = self.cfg.geometry.clone();
         let idx = g.block_index(addr);
         let old_mode = self.blocks[idx as usize].mode();
-        let subpages = g.subpages_per_page() as u8;
-        self.blocks[idx as usize].erase(new_mode, g.pages_per_block(new_mode), subpages);
+        self.blocks[idx as usize].erase(new_mode, g.pages_per_block(new_mode));
         // The erase pulse ran while the block was still in its old mode.
         self.wear.record_erase(idx, old_mode);
         self.counters.erases += 1;
@@ -856,5 +844,228 @@ mod tests {
             .program(Spa::new(addr.page(last_mlc_page), 0), 4)
             .unwrap_err();
         assert!(matches!(err, FlashError::OutOfRange(_)));
+    }
+
+    #[test]
+    fn paper_scale_device_materializes_only_programmed_blocks() {
+        let mut dev = FlashDevice::new(DeviceConfig::paper_scale());
+        let g = dev.config().geometry.clone();
+        assert!((0..g.total_blocks()).all(|i| !dev.block_by_index(i).is_materialized()));
+
+        let target = g.total_blocks() / 2 + 7;
+        let addr = g.block_from_index(target);
+        dev.program(Spa::new(addr.page(5), 0), 4).unwrap();
+        let materialized: Vec<u64> = (0..g.total_blocks())
+            .filter(|&i| dev.block_by_index(i).is_materialized())
+            .collect();
+        assert_eq!(materialized, vec![target]);
+        assert_eq!(
+            dev.block(addr).page(5).count(SubpageState::Valid),
+            4,
+            "the programmed page is visible"
+        );
+
+        // An erase drops the page states again.
+        dev.erase(addr, CellMode::Slc);
+        assert!(!dev.block(addr).is_materialized());
+    }
+
+    mod lazy_equivalence {
+        use super::*;
+        use crate::geometry::FlashGeometry;
+        use crate::state::PageState;
+        use proptest::prelude::*;
+
+        /// Blocks the random workload touches (a quarter of the test device).
+        const BLOCKS: u64 = 8;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Program {
+                block: u64,
+                page: u32,
+                subpage: u8,
+                count: u8,
+            },
+            Invalidate {
+                block: u64,
+                page: u32,
+                subpage: u8,
+            },
+            Erase {
+                block: u64,
+                to_slc: bool,
+            },
+            SetMode {
+                block: u64,
+                to_slc: bool,
+            },
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            let g = FlashGeometry::small_for_tests();
+            let pages = g.pages_per_block_mlc + 1;
+            let spp = g.subpages_per_page() as u8;
+            prop_oneof![
+                6 => (0..BLOCKS, 0..pages, 0..spp, 1..=spp).prop_map(
+                    |(block, page, subpage, count)| Op::Program { block, page, subpage, count }
+                ),
+                3 => (0..BLOCKS, 0..pages, 0..spp)
+                    .prop_map(|(block, page, subpage)| Op::Invalidate { block, page, subpage }),
+                1 => (0..BLOCKS, any::<bool>())
+                    .prop_map(|(block, to_slc)| Op::Erase { block, to_slc }),
+                1 => (0..BLOCKS, any::<bool>())
+                    .prop_map(|(block, to_slc)| Op::SetMode { block, to_slc }),
+            ]
+        }
+
+        fn mode(to_slc: bool) -> CellMode {
+            if to_slc {
+                CellMode::Slc
+            } else {
+                CellMode::Mlc
+            }
+        }
+
+        /// Eager model of every block: one `PageState` per page, always
+        /// allocated, reshaped on erase / mode change.
+        struct Shadow {
+            modes: Vec<CellMode>,
+            pages: Vec<Vec<PageState>>,
+        }
+
+        impl Shadow {
+            fn new(dev: &FlashDevice) -> Self {
+                let g = &dev.config().geometry;
+                let m = dev.config().initial_mode;
+                Shadow {
+                    modes: vec![m; g.total_blocks() as usize],
+                    pages: (0..g.total_blocks()).map(|_| Self::erased(g, m)).collect(),
+                }
+            }
+
+            fn erased(g: &FlashGeometry, mode: CellMode) -> Vec<PageState> {
+                vec![
+                    PageState::erased(g.subpages_per_page() as u8);
+                    g.pages_per_block(mode) as usize
+                ]
+            }
+
+            fn reshape(&mut self, g: &FlashGeometry, block: u64, mode: CellMode) {
+                self.modes[block as usize] = mode;
+                self.pages[block as usize] = Self::erased(g, mode);
+            }
+
+            /// Applies a program the device accepted; returns the in-page
+            /// and neighbour disturb counts.
+            fn program(&mut self, block: u64, page: u32, subpage: u8, count: u8) -> (u16, u16) {
+                let pages = &mut self.pages[block as usize];
+                let in_page = pages[page as usize].apply_program(subpage, count).unwrap();
+                let mut neighbour = 0;
+                if page > 0 {
+                    neighbour += pages[page as usize - 1].apply_neighbour_disturb();
+                }
+                if let Some(next) = pages.get_mut(page as usize + 1) {
+                    neighbour += next.apply_neighbour_disturb();
+                }
+                (in_page, neighbour)
+            }
+        }
+
+        /// Every observable of every block equals the eager shadow.
+        fn assert_matches(dev: &FlashDevice, shadow: &Shadow) -> Result<(), TestCaseError> {
+            let spp = dev.config().geometry.subpages_per_page();
+            for (i, pages) in shadow.pages.iter().enumerate() {
+                let b = dev.block_by_index(i as u64);
+                prop_assert_eq!(b.mode(), shadow.modes[i]);
+                prop_assert_eq!(b.page_count() as usize, pages.len());
+                prop_assert_eq!(b.total_subpages(), pages.len() as u32 * spp);
+                for (p, want) in pages.iter().enumerate() {
+                    prop_assert_eq!(b.page(p as u32), want, "block {} page {}", i, p);
+                }
+                for state in [
+                    SubpageState::Free,
+                    SubpageState::Valid,
+                    SubpageState::Invalid,
+                ] {
+                    let want: u32 = pages.iter().map(|p| p.count(state) as u32).sum();
+                    prop_assert_eq!(b.count_subpages(state), want);
+                }
+                let dead = pages
+                    .iter()
+                    .filter(|p| p.is_programmed() && p.count(SubpageState::Valid) == 0)
+                    .count() as u32;
+                prop_assert_eq!(b.fully_invalid_pages(), dead);
+                prop_assert!(b.counters_consistent());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Lazily materialized page state is indistinguishable from an
+            /// eagerly allocated one under any op sequence.
+            #[test]
+            fn lazy_pages_match_eager_shadow(ops in proptest::collection::vec(op_strategy(), 1..160)) {
+                let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
+                let g = dev.config().geometry.clone();
+                let nop = dev.config().max_partial_programs;
+                let spp = g.subpages_per_page() as u8;
+                let mut shadow = Shadow::new(&dev);
+                assert_matches(&dev, &shadow)?;
+
+                for op in ops {
+                    match op {
+                        Op::Program { block, page, subpage, count } => {
+                            let addr = g.block_from_index(block);
+                            let res = dev.program(Spa::new(addr.page(page), subpage), count);
+                            let pages = &shadow.pages[block as usize];
+                            match res {
+                                Ok(r) => {
+                                    let (in_page, neighbour) =
+                                        shadow.program(block, page, subpage, count);
+                                    prop_assert_eq!(r.in_page_disturbed, in_page);
+                                    prop_assert_eq!(r.neighbour_disturbed, neighbour);
+                                }
+                                Err(FlashError::OutOfRange(_)) => prop_assert!(
+                                    page as usize >= pages.len() || subpage + count > spp
+                                ),
+                                Err(FlashError::SubpageNotFree(_)) => prop_assert!(
+                                    pages[page as usize].clone().apply_program(subpage, count).is_err()
+                                ),
+                                Err(FlashError::PartialNotSupported { .. }) => {
+                                    prop_assert!(pages[page as usize].program_ops() > 0);
+                                    prop_assert_eq!(shadow.modes[block as usize], CellMode::Mlc);
+                                }
+                                Err(FlashError::PartialProgramLimit { .. }) => {
+                                    prop_assert!(pages[page as usize].program_ops() >= nop)
+                                }
+                                Err(e) => prop_assert!(false, "unexpected error {}", e),
+                            }
+                        }
+                        Op::Invalidate { block, page, subpage } => {
+                            if (page as usize) < shadow.pages[block as usize].len() {
+                                let addr = g.block_from_index(block);
+                                let got = dev.invalidate(Spa::new(addr.page(page), subpage));
+                                let want = shadow.pages[block as usize][page as usize].invalidate(subpage);
+                                prop_assert_eq!(got.is_ok(), want.is_ok());
+                            }
+                        }
+                        Op::Erase { block, to_slc } => {
+                            dev.erase(g.block_from_index(block), mode(to_slc));
+                            shadow.reshape(&g, block, mode(to_slc));
+                        }
+                        Op::SetMode { block, to_slc } => {
+                            if dev.block_by_index(block).is_pristine() {
+                                dev.set_block_mode(g.block_from_index(block), mode(to_slc));
+                                shadow.reshape(&g, block, mode(to_slc));
+                            }
+                        }
+                    }
+                    assert_matches(&dev, &shadow)?;
+                }
+            }
+        }
     }
 }

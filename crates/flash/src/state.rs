@@ -49,10 +49,10 @@ pub struct PageState {
 
 impl PageState {
     /// A fresh (erased) page exposing `subpage_count` subpages.
-    pub fn erased(subpage_count: u8) -> Self {
+    pub const fn erased(subpage_count: u8) -> Self {
         assert!(
-            (1..=MAX_SUBPAGES_PER_PAGE as u8).contains(&subpage_count),
-            "subpage count {subpage_count} out of range"
+            subpage_count >= 1 && subpage_count as usize <= MAX_SUBPAGES_PER_PAGE,
+            "subpage count out of range"
         );
         PageState {
             subpages: [SubpageState::Free; MAX_SUBPAGES_PER_PAGE],
@@ -214,7 +214,25 @@ impl std::fmt::Display for ProgramStateError {
 
 impl std::error::Error for ProgramStateError {}
 
+/// Erased page state for every supported subpage count (entry `n - 1` exposes
+/// `n` subpages). Unmaterialized blocks lend these out from [`BlockState::page`].
+static ERASED_PAGES: [PageState; MAX_SUBPAGES_PER_PAGE] = {
+    let mut table = [const { PageState::erased(1) }; MAX_SUBPAGES_PER_PAGE];
+    let mut n = 2;
+    while n <= MAX_SUBPAGES_PER_PAGE {
+        table[n - 1] = PageState::erased(n as u8);
+        n += 1;
+    }
+    table
+};
+
 /// State of one block: its mode, page states and erase count.
+///
+/// Per-page state is materialized lazily: `pages` stays empty until the first
+/// program since the last erase, and until then [`BlockState::page`] lends out
+/// a shared erased page. A device therefore holds page state only for the
+/// blocks a run has written, and an erase clears the pages while keeping
+/// their allocation for the next refill.
 ///
 /// Validity totals (`valid_subpages`, `invalid_subpages`,
 /// `fully_invalid_pages`) are cached and maintained by the block-level
@@ -226,6 +244,12 @@ impl std::error::Error for ProgramStateError {}
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BlockState {
     mode: CellMode,
+    /// Subpages per page (fixed by the geometry for the block's lifetime).
+    subpages: u8,
+    /// Pages exposed in the current mode.
+    page_count: u32,
+    /// Page states: empty until the first program since the last erase, then
+    /// exactly `page_count` long.
     pages: Vec<PageState>,
     erase_count: u32,
     /// Program operations applied to this block since the last erase.
@@ -245,9 +269,15 @@ pub struct BlockState {
 impl BlockState {
     /// A freshly-erased block in `mode` with `pages` pages of `subpages` each.
     pub fn erased(mode: CellMode, pages: u32, subpages: u8) -> Self {
+        assert!(
+            (1..=MAX_SUBPAGES_PER_PAGE as u8).contains(&subpages),
+            "subpage count {subpages} out of range"
+        );
         BlockState {
             mode,
-            pages: (0..pages).map(|_| PageState::erased(subpages)).collect(),
+            subpages,
+            page_count: pages,
+            pages: Vec::new(),
             erase_count: 0,
             programs_since_erase: 0,
             reads_since_erase: 0,
@@ -266,7 +296,7 @@ impl BlockState {
     /// Number of pages exposed in the current mode.
     #[inline]
     pub fn page_count(&self) -> u32 {
-        self.pages.len() as u32
+        self.page_count
     }
 
     /// P/E cycles this block has consumed.
@@ -281,17 +311,42 @@ impl BlockState {
         self.programs_since_erase
     }
 
-    /// Immutable page state access.
+    /// Immutable page state access. Panics if `page >= page_count()`.
     #[inline]
     pub fn page(&self, page: u32) -> &PageState {
-        &self.pages[page as usize]
+        if self.pages.is_empty() {
+            assert!(page < self.page_count, "page {page} out of range");
+            self.erased_page()
+        } else {
+            &self.pages[page as usize]
+        }
+    }
+
+    /// Whether per-page state has been allocated since the last erase.
+    #[cfg(test)]
+    pub(crate) fn is_materialized(&self) -> bool {
+        !self.pages.is_empty()
+    }
+
+    /// The shared erased state of one of this block's pages.
+    fn erased_page(&self) -> &'static PageState {
+        &ERASED_PAGES[self.subpages as usize - 1]
+    }
+
+    /// Page states, allocated as erased pages on first use after an erase.
+    fn materialized_pages(&mut self) -> &mut [PageState] {
+        if self.pages.is_empty() {
+            self.pages
+                .resize(self.page_count as usize, self.erased_page().clone());
+        }
+        &mut self.pages
     }
 
     /// Mutable page access for validity-neutral transitions (disturb
     /// accounting). Validity transitions must use `apply_program_at` /
     /// `invalidate_at` so the cached block totals stay correct.
     pub(crate) fn page_mut(&mut self, page: u32) -> &mut PageState {
-        &mut self.pages[page as usize]
+        &mut self.materialized_pages()[page as usize]
     }
 
     /// Programs `[start, start+count)` of `page`, maintaining the cached
@@ -302,7 +357,7 @@ impl BlockState {
         start: u8,
         count: u8,
     ) -> Result<u16, ProgramStateError> {
-        let p = &mut self.pages[page as usize];
+        let p = &mut self.materialized_pages()[page as usize];
         let was_dead = p.is_programmed() && p.count(SubpageState::Valid) == 0;
         let disturbed = p.apply_program(start, count)?;
         self.valid_subpages += count as u32;
@@ -314,11 +369,12 @@ impl BlockState {
 
     /// Invalidates subpage `s` of `page`, maintaining the cached totals.
     pub(crate) fn invalidate_at(&mut self, page: u32, s: u8) -> Result<(), ProgramStateError> {
-        let p = &mut self.pages[page as usize];
+        let p = &mut self.materialized_pages()[page as usize];
         p.invalidate(s)?;
+        let now_dead = p.count(SubpageState::Valid) == 0;
         self.valid_subpages -= 1;
         self.invalid_subpages += 1;
-        if p.count(SubpageState::Valid) == 0 {
+        if now_dead {
             self.fully_invalid_pages += 1;
         }
         Ok(())
@@ -339,12 +395,18 @@ impl BlockState {
     }
 
     /// Erases the block, optionally switching mode, re-shaping the page array.
-    pub(crate) fn erase(&mut self, new_mode: CellMode, pages: u32, subpages: u8) {
-        self.mode = new_mode;
-        self.pages.clear();
-        self.pages
-            .extend((0..pages).map(|_| PageState::erased(subpages)));
+    pub(crate) fn erase(&mut self, new_mode: CellMode, pages: u32) {
+        self.reformat(new_mode, pages);
         self.erase_count += 1;
+    }
+
+    /// Re-shapes the block into `mode` with `pages` erased pages, resetting
+    /// every per-erase counter but not the erase count. O(1): the page states
+    /// are dropped (their allocation kept) and rebuilt on the next program.
+    pub(crate) fn reformat(&mut self, mode: CellMode, pages: u32) {
+        self.mode = mode;
+        self.page_count = pages;
+        self.pages.clear();
         self.programs_since_erase = 0;
         self.reads_since_erase = 0;
         self.valid_subpages = 0;
@@ -354,12 +416,7 @@ impl BlockState {
 
     /// Total subpages across all pages. O(1): all pages share one geometry.
     pub fn total_subpages(&self) -> u32 {
-        self.pages.len() as u32
-            * self
-                .pages
-                .first()
-                .map(|p| p.subpage_count() as u32)
-                .unwrap_or(0)
+        self.page_count * self.subpages as u32
     }
 
     /// Subpages currently in `state` across all pages. O(1) from the cached
@@ -502,7 +559,7 @@ mod tests {
         assert!(!b.is_pristine());
         assert!(b.counters_consistent());
 
-        b.erase(CellMode::Mlc, 8, 4);
+        b.erase(CellMode::Mlc, 8);
         assert_eq!(b.mode(), CellMode::Mlc);
         assert_eq!(b.page_count(), 8);
         assert_eq!(b.erase_count(), 1);
@@ -540,8 +597,26 @@ mod tests {
         b.apply_program_at(0, 2, 1).unwrap();
         assert_eq!(b.fully_invalid_pages(), 0);
         assert!(b.counters_consistent());
-        b.erase(CellMode::Slc, 2, 4);
+        b.erase(CellMode::Slc, 2);
         assert_eq!(b.fully_invalid_pages(), 0);
         assert!(b.is_pristine());
+    }
+
+    #[test]
+    fn block_state_fits_in_one_cache_line() {
+        assert!(std::mem::size_of::<BlockState>() <= 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn unprogrammed_block_refuses_pages_past_its_count() {
+        BlockState::erased(CellMode::Slc, 4, 4).page(4);
+    }
+
+    #[test]
+    fn erased_page_table_covers_every_subpage_count() {
+        for n in 1..=MAX_SUBPAGES_PER_PAGE as u8 {
+            assert_eq!(ERASED_PAGES[n as usize - 1], PageState::erased(n));
+        }
     }
 }

@@ -65,10 +65,10 @@ impl HostReport {
 }
 
 /// Per-tenant run state.
-struct TenantQueue {
+struct TenantQueue<'a> {
     /// Sorted request arrival times; `next_arrival` indexes the first not yet
     /// admitted.
-    arrivals: Vec<Nanos>,
+    arrivals: &'a [Nanos],
     next_arrival: usize,
     /// Admitted, waiting for the dispatcher: `(seq, arrival_ns, admit_ns)`.
     submitted: VecDeque<(usize, Nanos, Nanos)>,
@@ -77,7 +77,7 @@ struct TenantQueue {
     metrics: TenantMetrics,
 }
 
-impl TenantQueue {
+impl TenantQueue<'_> {
     fn occupancy(&self) -> usize {
         self.submitted.len() + self.inflight
     }
@@ -124,7 +124,7 @@ pub fn run_closed_loop(
             let mut metrics = TenantMetrics::new(spec.name.clone(), depth);
             metrics.first_arrival_ns = arr.first().copied().unwrap_or(0);
             TenantQueue {
-                arrivals: arr.clone(),
+                arrivals: arr,
                 next_arrival: 0,
                 submitted: VecDeque::new(),
                 inflight: 0,
@@ -134,10 +134,13 @@ pub fn run_closed_loop(
         .collect();
     let mut arbiter = Arbiter::new(cfg.arbitration, &cfg.tenants);
 
-    // Pending completions, min-heap by time (tenant, seq carried for slot
-    // release). `Reverse` flips `BinaryHeap`'s max ordering.
+    // Pending completions, min-heap by (completion, tenant, seq), carrying
+    // the rest of the outcome (arrival, admit, dispatch) to log when it pops.
+    // The key is unique per request, so the trailing fields never decide
+    // order. `Reverse` flips `BinaryHeap`'s max ordering.
     use std::cmp::Reverse;
-    let mut completions: BinaryHeap<Reverse<(Nanos, usize, usize)>> = BinaryHeap::new();
+    type Pending = (Nanos, usize, usize, Nanos, Nanos, Nanos);
+    let mut completions: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
     let mut outcomes: Vec<RequestOutcome> = Vec::new();
     let mut dispatcher_free: Nanos = 0;
     let mut now: Nanos = 0;
@@ -151,12 +154,28 @@ pub fn run_closed_loop(
         loop {
             let mut progressed = false;
 
-            while let Some(&Reverse((t_done, tenant, _seq))) = completions.peek() {
-                if t_done > now {
+            while let Some(&Reverse((
+                completion_ns,
+                tenant,
+                seq,
+                arrival_ns,
+                admit_ns,
+                dispatch_ns,
+            ))) = completions.peek()
+            {
+                if completion_ns > now {
                     break;
                 }
                 completions.pop();
                 queues[tenant].inflight -= 1;
+                outcomes.push(RequestOutcome {
+                    tenant,
+                    seq,
+                    arrival_ns,
+                    admit_ns,
+                    dispatch_ns,
+                    completion_ns,
+                });
                 progressed = true;
             }
 
@@ -189,15 +208,7 @@ pub fn run_closed_loop(
                 queues[t].inflight += 1;
                 let completion = service(t, seq, now);
                 assert!(completion >= now, "device completed before dispatch");
-                completions.push(Reverse((completion, t, seq)));
-                outcomes.push(RequestOutcome {
-                    tenant: t,
-                    seq,
-                    arrival_ns: arrival,
-                    admit_ns: admit,
-                    dispatch_ns: now,
-                    completion_ns: completion,
-                });
+                completions.push(Reverse((completion, t, seq, arrival, admit, now)));
                 let m = &mut queues[t].metrics;
                 m.completed += 1;
                 m.service_latency.record(completion - admit);
@@ -216,7 +227,7 @@ pub fn run_closed_loop(
         }
 
         // Next instant anything can happen.
-        let mut next: Option<Nanos> = completions.peek().map(|&Reverse((t, _, _))| t);
+        let mut next: Option<Nanos> = completions.peek().map(|Reverse(c)| c.0);
         for q in &queues {
             if q.next_arrival < q.arrivals.len() && q.occupancy() < depth {
                 let t = q.arrivals[q.next_arrival];
@@ -242,8 +253,11 @@ pub fn run_closed_loop(
         now = next;
     }
 
-    // Completion order is what a host observes on the CQ; the dispatch-order
-    // log sorts stably by (completion, tenant, seq).
+    // Completion order is what a host observes on the CQ. Outcomes were
+    // logged as they popped, already in (completion, tenant, seq) order except
+    // where a zero-latency service completed at an instant whose earlier
+    // completions had popped; the stable sort fixes those in O(n) on sorted
+    // input.
     outcomes.sort_by_key(|o| (o.completion_ns, o.tenant, o.seq));
 
     let tenants: Vec<TenantMetrics> = queues.into_iter().map(|q| q.metrics).collect();
@@ -416,6 +430,25 @@ mod tests {
             report.fairness
         );
         assert_eq!(report.total_completed(), 40, "starved ≠ dropped");
+    }
+
+    #[test]
+    fn zero_latency_completions_are_logged_in_completion_order() {
+        // QD 1 and an instant device: tenant 0's second request is admitted
+        // and completes at t=0 only after tenant 1's first completion has
+        // been logged, so the log must still reorder it by (tenant, seq).
+        let cfg = HostConfig::new(
+            1,
+            ArbitrationPolicy::RoundRobin,
+            vec![TenantSpec::new("a"), TenantSpec::new("b")],
+        );
+        let arrivals = vec![vec![0, 0], vec![0]];
+        let (_, outcomes) = run_closed_loop(&cfg, &arrivals, |_, _, d| d);
+        let order: Vec<(Nanos, usize, usize)> = outcomes
+            .iter()
+            .map(|o| (o.completion_ns, o.tenant, o.seq))
+            .collect();
+        assert_eq!(order, vec![(0, 0, 0), (0, 0, 1), (0, 1, 0)]);
     }
 
     #[test]

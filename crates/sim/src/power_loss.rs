@@ -109,8 +109,12 @@ pub fn durable_snapshot(core: &FtlCore, dev: &FlashDevice) -> DurableSnapshot {
     // Owners of every device-valid subpage, walked in device order.
     let mut owners = BTreeMap::new();
     for idx in 0..geo.total_blocks() {
-        let addr = geo.block_from_index(idx);
         let block = dev.block_by_index(idx);
+        if block.is_pristine() {
+            // No programmed subpage, so nothing valid to own.
+            continue;
+        }
+        let addr = geo.block_from_index(idx);
         for page in 0..block.page_count() {
             let ps = block.page(page);
             for sub in 0..ps.subpage_count() {
